@@ -396,13 +396,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "(default 0.6)",
     )
     dc_group.add_argument(
-        "--dc-engine",
-        choices=("fleet", "scalar"),
-        default="fleet",
-        dest="dc_engine",
-        help="cluster engine for the zones (default fleet)",
-    )
-    dc_group.add_argument(
         "--no-static",
         action="store_true",
         dest="no_static",
@@ -769,7 +762,7 @@ def _cmd_datacenter(args: argparse.Namespace, context) -> int:
     )
     print(
         f"running {total_nodes} nodes / {n_zones} zones for {duration}s "
-        f"under a {cap_w:.0f} W cap ({args.dc_engine} engine)...",
+        f"under a {cap_w:.0f} W cap...",
         file=sys.stderr,
     )
     store = None
@@ -784,7 +777,6 @@ def _cmd_datacenter(args: argparse.Namespace, context) -> int:
         cap_w,
         duration,
         config=config,
-        engine=args.dc_engine,
         seed=args.seed,
         calibration=calibration,
         include_true_sensor=not args.no_regret,

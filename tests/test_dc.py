@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.cluster
 from repro import obs
 from repro.cluster import NAP_POWER_W, STANDBY_POWER_W, _NodeControl
 from repro.dc import (
@@ -22,6 +23,7 @@ from repro.dc import (
     train_zone_bank,
 )
 from repro.simulator.config import fast_config
+from tests.fleet_oracle import ScalarFleet
 
 
 @pytest.fixture(scope="module")
@@ -323,7 +325,6 @@ class TestDatacenter:
             cap,
             config=config,
             calibration=calibration,
-            engine="fleet",
             seed=31,
         )
         report = dc.run(40)
@@ -358,21 +359,27 @@ class TestDatacenter:
         assert status == 200
         assert json.loads(body)["datacenter"] is None
 
-    def test_fleet_and_scalar_engines_agree(self, config, calibration):
+    def test_fleet_and_scalar_engines_agree(
+        self, monkeypatch, config, calibration
+    ):
+        """The fleet zones match one scalar server per node (the
+        :class:`ScalarFleet` oracle swapped in for ``FleetServer``)."""
         cap = 0.7 * calibration.reference_peak_w * 4
         zones = (ZoneSpec("a", 2, 2.8e5), ZoneSpec("b", 2, 2.4e5))
         traffic = TrafficModel(zones, period_s=24.0, seed=9)
-        reports = {}
-        for engine in ("fleet", "scalar"):
-            dc = Datacenter(
+
+        def run():
+            return Datacenter(
                 traffic,
                 cap,
                 config=config,
                 calibration=calibration,
-                engine=engine,
                 seed=77,
-            )
-            reports[engine] = dc.run(24)
+            ).run(24)
+
+        reports = {"fleet": run()}
+        monkeypatch.setattr(repro.cluster, "FleetServer", ScalarFleet)
+        reports["scalar"] = run()
         assert reports["fleet"].power_w == reports["scalar"].power_w
         assert np.allclose(
             reports["fleet"].estimated_power_w,
@@ -443,7 +450,6 @@ class TestAcceptanceScenario:
             cap,
             duration,
             config=config,
-            engine="fleet",
             seed=13,
             calibration=calibration,
         )

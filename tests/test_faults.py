@@ -14,6 +14,8 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from types import SimpleNamespace
 
 import pytest
@@ -142,6 +144,26 @@ class TestFaultRecovery:
         )
         assert result.degraded
         assert result.worker_failures >= 1
+        assert not result.failed
+        _assert_all_identical(reference, result.runs)
+
+    def test_pool_breaking_mid_submit_is_retried(
+        self, specs, reference, monkeypatch
+    ):
+        """A worker can die before its round is fully submitted; the
+        refused submission is retried, not raised out of the sweep."""
+        submit = ProcessPoolExecutor.submit
+        calls = []
+
+        def submit_then_break(self, fn, /, *args, **kwargs):
+            calls.append(fn)
+            if len(calls) == 2:
+                raise BrokenProcessPool("worker died mid-submit")
+            return submit(self, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_then_break)
+        result = sweep_specs(specs, n_workers=2, retry=FAST_RETRY)
+        assert result.worker_failures == 1
         assert not result.failed
         _assert_all_identical(reference, result.runs)
 

@@ -6,12 +6,16 @@ The vectorized :class:`FleetServer` claims lane ``i`` reproduces
 stay sequential per lane), with one tolerance-bounded exception: the
 DAQ's sinusoidal gain drift uses ``np.sin`` where the scalar path uses
 ``math.sin``.  These tests pin both halves of that contract, plus the
-integrations that ride on it (cluster engine, sweep lane-grouping).
+integrations that ride on it (cluster, sweep lane-grouping).  The
+scalar reference is :class:`tests.fleet_oracle.ScalarFleet`, one real
+``Server`` per lane behind the fleet API.
 """
 
 import numpy as np
 import pytest
 
+import repro.cluster
+import repro.simulator.fleet
 from repro.cluster import Cluster, PowerAwareManager, StaticManager, diurnal_demand
 from repro.core.events import Subsystem
 from repro.exec import SweepSpec, sweep_specs
@@ -19,6 +23,8 @@ from repro.simulator.config import fast_config
 from repro.simulator.fleet import FleetServer, simulate_fleet
 from repro.simulator.system import Server, simulate_workload
 from repro.workloads.registry import get_workload
+from tests.conftest import TEST_SEED
+from tests.fleet_oracle import ScalarFleet
 
 SEED = 11
 N_TICKS = 300
@@ -50,23 +56,26 @@ def _assert_lane_matches_server(view, server, exact_power=True):
 
 
 class TestCompatScalarMode:
+    """The scalar oracle the equivalence tests compare against."""
+
     def test_every_lane_bit_identical(self):
-        """compat="scalar" runs real Servers: exact on every surface."""
+        """ScalarFleet runs real Servers: exact on every surface."""
         config = fast_config()
         workload = get_workload("gcc")
         seeds = [SEED + i for i in range(3)]
-        fleet = FleetServer(config, workload, seeds, compat="scalar")
+        fleet = ScalarFleet(config, workload, seeds)
         servers = [Server(config, workload, seed=s) for s in seeds]
         fleet_energy = fleet.run_ticks(N_TICKS)
         for lane, server in enumerate(servers):
             assert fleet_energy[lane] == server.run_ticks(N_TICKS)
             _assert_lane_matches_server(fleet.lane(lane), server)
 
-    def test_compat_run_power_bit_identical(self):
-        """Full measured runs (DAQ included) are exact in compat mode."""
+    def test_compat_run_power_bit_identical(self, monkeypatch):
+        """simulate_fleet over the oracle reproduces simulate_workload
+        exactly, DAQ included."""
+        monkeypatch.setattr(repro.simulator.fleet, "FleetServer", ScalarFleet)
         runs = simulate_fleet(
-            get_workload("gcc"), 40.0, seeds=(5,), config=fast_config(),
-            compat="scalar",
+            get_workload("gcc"), 40.0, seeds=(5,), config=fast_config()
         )
         reference = simulate_workload(
             get_workload("gcc"), 40.0, seed=5, config=fast_config()
@@ -76,10 +85,6 @@ class TestCompatScalarMode:
             assert np.array_equal(
                 run.power.power(subsystem), reference.power.power(subsystem)
             )
-
-    def test_compat_validated(self):
-        with pytest.raises(ValueError, match="compat"):
-            FleetServer(fast_config(), get_workload("gcc"), [1], compat="simd")
 
 
 class TestVectorLaneEquivalence:
@@ -135,6 +140,14 @@ class TestVectorLaneEquivalence:
         fleet = FleetServer(fast_config(), get_workload("gcc"), [1, 2])
         with pytest.raises(IndexError):
             fleet.lane(2)
+
+    def test_set_lane_threads_checks_lane(self):
+        """A negative lane must not wrap around to the last lane."""
+        fleet = FleetServer(fast_config(), get_workload("SPECjbb"), [1, 2, 3])
+        for lane in (-1, 3):
+            with pytest.raises(IndexError, match="out of range"):
+                fleet.set_lane_threads(lane, 0)
+        assert fleet._enabled.all()
 
 
 class TestRngStreamIndependence:
@@ -208,31 +221,68 @@ class TestMonitoredRunIdentity:
         assert _scalar_rows(plain.lane(0)) == _scalar_rows(monitored.lane(0))
 
 
+class _ScriptedManager:
+    """Deterministic DVFS + nap + load schedule for fleet/scalar equality."""
+
+    def __init__(self):
+        self.t = 0
+
+    def place(self, cluster, demand):
+        t = self.t
+        self.t += 1
+        n0, n1, n2 = cluster.nodes
+        for node in cluster.nodes:
+            node.power_up()
+        if t == 3:
+            n2.set_load(0)
+            n2.nap()
+        if t == 6:
+            n2.wake()
+        for node in cluster.nodes:
+            if node.available:
+                node.set_load(0)
+        n0.set_pstate(min(t // 2, 3))
+        n1.set_pstate(3 - min(t // 3, 3))
+        loads = [5, 3, 2]
+        remaining = demand
+        for node, want in zip(cluster.nodes, loads):
+            if node.available:
+                take = min(want, remaining)
+                node.set_load(take)
+                remaining -= take
+
+
+_DIURNAL = diurnal_demand(
+    45, peak_threads=14, trough_threads=2, period_s=60.0, seed=5
+)
+
+
 class TestClusterEngineEquivalence:
     @pytest.mark.parametrize(
-        "manager_factory",
-        [StaticManager, lambda: PowerAwareManager(headroom_threads=6)],
-        ids=["static", "power-aware"],
+        "manager_factory, seed, demand",
+        [
+            (_ScriptedManager, TEST_SEED, [8, 9, 10, 7, 6, 8, 9, 10, 10, 9]),
+            (StaticManager, 123, _DIURNAL),
+            (lambda: PowerAwareManager(headroom_threads=6), 123, _DIURNAL),
+        ],
+        ids=["scripted", "static", "power-aware"],
     )
-    def test_fleet_engine_bit_exact(self, manager_factory):
-        demand = diurnal_demand(
-            45, peak_threads=14, trough_threads=2, period_s=60.0, seed=5
-        )
-        scalar = Cluster(n_nodes=3, seed=123, engine="scalar").run(
-            demand, manager_factory()
-        )
-        fleet = Cluster(n_nodes=3, seed=123, engine="fleet").run(
-            demand, manager_factory()
-        )
+    def test_fleet_engine_bit_exact(
+        self, monkeypatch, manager_factory, seed, demand
+    ):
+        """Per-lane DVFS shifts, naps, freezes and both managers keep
+        the fleet cluster bit-identical to one scalar server per node."""
+        fleet = Cluster(n_nodes=3, seed=seed).run(demand, manager_factory())
+        with monkeypatch.context() as patch:
+            patch.setattr(repro.cluster, "FleetServer", ScalarFleet)
+            scalar = Cluster(n_nodes=3, seed=seed).run(
+                demand, manager_factory()
+            )
         assert scalar.demand == fleet.demand
         assert scalar.served == fleet.served
         assert scalar.nodes_on == fleet.nodes_on
         assert scalar.power_w == fleet.power_w
         assert scalar.node_power_w == fleet.node_power_w
-
-    def test_engine_validated(self):
-        with pytest.raises(ValueError, match="engine"):
-            Cluster(n_nodes=2, engine="warp")
 
 
 class TestSweepFleetGrouping:
@@ -248,9 +298,10 @@ class TestSweepFleetGrouping:
             SweepSpec(workload="idle", seed=3, duration_s=20.0, config=fast_config())
         )
         grouped = sweep_specs(specs, n_workers=1)
-        reference = sweep_specs(specs, n_workers=1, fleet="off")
-        assert len(grouped.runs) == len(reference.runs)
-        for fleet_run, scalar_run in zip(grouped.runs, reference.runs):
+        # One singleton sweep per spec: the per-spec reference path.
+        reference = [sweep_specs([spec], n_workers=1).runs[0] for spec in specs]
+        assert len(grouped.runs) == len(reference)
+        for fleet_run, scalar_run in zip(grouped.runs, reference):
             assert fleet_run.workload == scalar_run.workload
             assert fleet_run.seed == scalar_run.seed
             assert fleet_run.metadata == scalar_run.metadata
@@ -288,10 +339,3 @@ class TestSweepFleetGrouping:
         assert all(
             run.n_samples == full.runs[0].n_samples - 3 for run in trimmed.runs
         )
-
-    def test_fleet_mode_validated(self):
-        with pytest.raises(ValueError, match="fleet"):
-            sweep_specs(
-                [SweepSpec(workload="gcc", seed=3, duration_s=20.0)],
-                fleet="sometimes",
-            )
