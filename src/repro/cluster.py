@@ -65,6 +65,27 @@ def _service_workload_spec(service_workload: str):
     )
 
 
+def _service_fleet(
+    config: SystemConfig,
+    service_workload: str,
+    seed: int,
+    sizes: "list[int] | tuple[int, ...]",
+) -> FleetServer:
+    """An idle fleet of ``sum(sizes)`` service nodes, seeds from ``seed``."""
+    if not sizes or min(sizes) < 1:
+        raise ValueError("need at least one node")
+    n_lanes = sum(sizes)
+    fleet = FleetServer(
+        config,
+        _service_workload_spec(service_workload),
+        [seed + i for i in range(n_lanes)],
+    )
+    fleet.disable_sampling()
+    for lane in range(n_lanes):
+        fleet.set_lane_threads(lane, 0)
+    return fleet
+
+
 class _NodeControl:
     """Power/boot/nap/load state machine of one cluster node.
 
@@ -197,11 +218,11 @@ class _NodeControl:
 class FleetNodeHandle(_NodeControl):
     """One server in the ensemble, serving up to eight worker threads.
 
-    The simulated server is a lane of the cluster's shared
-    :class:`FleetServer`, stepped once per second for all nodes
-    together by :meth:`Cluster.run`.  ``server`` returns the lane's
-    read-only view, so observers reading counters and energy see a
-    ``Server``-shaped object.
+    The simulated server is one lane of a :class:`FleetServer` that
+    every cluster built together shares (see :meth:`Cluster.zones`);
+    :func:`step_clusters` steps all of their nodes in one pass per
+    second.  ``server`` returns the lane's read-only view, so observers
+    reading counters and energy see a ``Server``-shaped object.
     """
 
     def __init__(
@@ -215,13 +236,13 @@ class FleetNodeHandle(_NodeControl):
         self.config = fleet.config
         self.boot_time_s = boot_time_s
         self._fleet = fleet
-        self._lane = lane
+        self.lane = lane
         self._init_control()
 
     @property
     def server(self):
         """The lane's server view (counter bank, energy account)."""
-        return self._fleet.lane(self._lane)
+        return self._fleet.lane(self.lane)
 
     @property
     def capacity(self) -> int:
@@ -348,9 +369,11 @@ class PowerAwareManager:
 class Cluster:
     """A fixed set of nodes driven by a manager and a demand trace.
 
-    Every node is one lane of a single :class:`FleetServer`; all
-    running nodes step in one vectorized pass per second.  The fleet's
-    per-lane energy accounting is bit-identical to the scalar
+    Every node is one lane of a :class:`FleetServer`; all running nodes
+    step in one vectorized pass per second.  A lone cluster owns its
+    fleet; the clusters :meth:`zones` builds are lane ranges of one
+    shared fleet, stepped together by :func:`step_clusters`.  The
+    fleet's per-lane energy accounting is bit-identical to the scalar
     :class:`~repro.simulator.system.Server`, so node power numbers are
     the ones a server per node would produce.
     """
@@ -363,22 +386,47 @@ class Cluster:
         service_workload: str = "SPECjbb",
         boot_time_s: float = BOOT_TIME_S,
     ) -> None:
-        if n_nodes < 1:
-            raise ValueError("need at least one node")
         config = config or fast_config()
-        self.config = config
-        spec = _service_workload_spec(service_workload)
-        self._fleet = FleetServer(
-            config, spec, [seed + i for i in range(n_nodes)]
-        )
-        self._fleet.disable_sampling()
-        for lane in range(n_nodes):
-            self._fleet.set_lane_threads(lane, 0)
+        fleet = _service_fleet(config, service_workload, seed, [n_nodes])
+        self._bind(fleet, 0, n_nodes, boot_time_s)
+
+    @classmethod
+    def zones(
+        cls,
+        sizes: "list[int] | tuple[int, ...]",
+        config: "SystemConfig | None" = None,
+        seed: int = 1,
+        service_workload: str = "SPECjbb",
+        boot_time_s: float = BOOT_TIME_S,
+    ) -> "list[Cluster]":
+        """One cluster per entry of ``sizes``, all lanes of one fleet.
+
+        Zone ``z`` holds lanes ``sum(sizes[:z])`` onwards and node ``i``
+        of it runs seed ``seed + sum(sizes[:z]) + i`` — the nodes a
+        ``Cluster(n, seed=seed + sum(sizes[:z]))`` per zone would
+        simulate, bit for bit, but :func:`step_clusters` advances every
+        zone in one fleet pass.
+        """
+        config = config or fast_config()
+        fleet = _service_fleet(config, service_workload, seed, sizes)
+        clusters = []
+        first = 0
+        for n_nodes in sizes:
+            cluster = cls.__new__(cls)
+            cluster._bind(fleet, first, n_nodes, boot_time_s)
+            clusters.append(cluster)
+            first += n_nodes
+        return clusters
+
+    def _bind(
+        self, fleet: FleetServer, first: int, n_nodes: int, boot_time_s: float
+    ) -> None:
+        self.config = fleet.config
+        self._fleet = fleet
         self.nodes = [
-            FleetNodeHandle(i, self._fleet, i, boot_time_s)
+            FleetNodeHandle(i, fleet, first + i, boot_time_s)
             for i in range(n_nodes)
         ]
-        self._applied_pstates: "np.ndarray | None" = None
 
     @property
     def capacity(self) -> int:
@@ -386,32 +434,7 @@ class Cluster:
 
     def _step_second(self) -> "list[float]":
         """One second of simulated time for every node; per-node Watts."""
-        fleet = self._fleet
-        pstates = np.fromiter(
-            (node.pstate for node in self.nodes),
-            dtype=np.int64,
-            count=len(self.nodes),
-        )
-        if self._applied_pstates is None or not np.array_equal(
-            pstates, self._applied_pstates
-        ):
-            fleet.set_lane_pstates(pstates)
-            self._applied_pstates = pstates
-        active = np.zeros(len(self.nodes), dtype=bool)
-        powers = [0.0] * len(self.nodes)
-        for i, node in enumerate(self.nodes):
-            idle_w = node.idle_power_second()
-            if idle_w is not None:
-                powers[i] = idle_w
-            else:
-                active[i] = True
-                fleet.set_lane_threads(i, node.assigned_threads)
-        if active.any():
-            ticks = int(round(1.0 / self.config.tick_s))
-            energies = fleet.run_ticks(ticks, active)
-            for i in np.nonzero(active)[0]:
-                powers[int(i)] = float(energies[i])
-        return powers
+        return step_clusters([self])[0]
 
     def run(
         self,
@@ -481,6 +504,46 @@ class Cluster:
                     self, start_s + float(t + 1), offered, served, node_powers
                 )
         return trace
+
+
+def step_clusters(clusters: "list[Cluster]") -> "list[list[float]]":
+    """One simulated second for every node of ``clusters``.
+
+    The clusters must share one fleet (a lone cluster, or any of the
+    zones :meth:`Cluster.zones` built).  Their requested pstates are
+    applied in one call, parked nodes advance their management state,
+    and every live node steps in a single :meth:`FleetServer.run_ticks`
+    pass.  Returns per-node Watts, one list per cluster.
+    """
+    fleet = clusters[0]._fleet
+    pstates = fleet.lane_pstates()
+    for cluster in clusters:
+        if cluster._fleet is not fleet:
+            raise ValueError("clusters must share one fleet")
+        for node in cluster.nodes:
+            pstates[node.lane] = node.pstate
+    if not np.array_equal(pstates, fleet.lane_pstates()):
+        fleet.set_lane_pstates(pstates)
+    active = np.zeros(fleet.width, dtype=bool)
+    powers = []
+    for cluster in clusters:
+        zone_w = [0.0] * len(cluster.nodes)
+        for i, node in enumerate(cluster.nodes):
+            idle_w = node.idle_power_second()
+            if idle_w is not None:
+                zone_w[i] = idle_w
+            else:
+                active[node.lane] = True
+                fleet.set_lane_threads(node.lane, node.assigned_threads)
+        powers.append(zone_w)
+    if active.any():
+        ticks = int(round(1.0 / fleet.config.tick_s))
+        energies = fleet.run_ticks(ticks, active)
+        for cluster, zone_w in zip(clusters, powers):
+            for i, node in enumerate(cluster.nodes):
+                if active[node.lane]:
+                    zone_w[i] = float(energies[node.lane])
+    return powers
 
 
 def diurnal_demand(

@@ -14,9 +14,10 @@ Feng's subsystem-level approach to energy proportionality:
   budget redistribution between zones;
 * :mod:`repro.dc.scoring` — energy-proportionality metrics (dynamic
   range, proportionality gap) and estimated-vs-true policy regret;
-* :mod:`repro.dc.datacenter` — the simulated datacenter: one fleet
-  cluster per zone, thousands of nodes as lanes, every policy acting
-  on *estimated* power and scored against ground truth.
+* :mod:`repro.dc.datacenter` — the simulated datacenter: one cluster
+  per zone, every zone a lane range of one fleet (thousands of nodes
+  stepped in one pass per second), every policy acting on *estimated*
+  power and scored against ground truth.
 """
 
 from repro.dc.datacenter import (

@@ -1,8 +1,10 @@
 """The simulated datacenter: zones of fleet lanes under estimated-power
 policies, scored against ground truth.
 
-One :class:`~repro.cluster.Cluster` per zone (so a thousand nodes step
-as lanes of a few ``FleetServer`` passes); per second the loop is
+One :class:`~repro.cluster.Cluster` per zone, every zone a lane range
+of one shared ``FleetServer`` (:meth:`~repro.cluster.Cluster.zones`),
+so a thousand nodes in any number of zones step in one fleet pass per
+second; per second the loop is
 
 1. the open-loop :class:`~repro.dc.traffic.TrafficModel` offers each
    zone its thread demand;
@@ -11,8 +13,9 @@ as lanes of a few ``FleetServer`` passes); per second the loop is
    cap (redistributing a dark zone's share to the survivors);
 3. each zone's :class:`~repro.dc.policies.SubsystemManager` places
    roles, pstates and loads under its budget;
-4. the simulator advances every node one second and produces *true*
-   per-node power;
+4. the simulator advances every node of every zone one second in one
+   fleet pass (:func:`~repro.cluster.step_clusters`) and produces
+   *true* per-node power;
 5. the sensor path estimates power from the nodes' performance
    counters through the per-pstate :class:`~repro.core.dvfs.DvfsSuiteBank`
    (the trickle-down estimator is the only power meter the policy has);
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro import obs
-from repro.cluster import BOOT_TIME_S, Cluster, StaticManager
+from repro.cluster import BOOT_TIME_S, Cluster, StaticManager, step_clusters
 from repro.core.dvfs import DvfsSuiteBank
 from repro.core.traces import CounterTrace, concat_runs
 from repro.core.training import PAPER_RECIPE, ModelTrainer, TrainingRecipe
@@ -343,19 +346,19 @@ class Datacenter:
         self.calibration = calibration or train_zone_bank(
             self.config, service_workload=service_workload
         )
-        self.clusters: "dict[str, Cluster]" = {}
+        zones = Cluster.zones(
+            [zone.n_nodes for zone in traffic.zones],
+            config=self.config,
+            seed=seed,
+            service_workload=service_workload,
+            boot_time_s=boot_time_s,
+        )
+        self.clusters: "dict[str, Cluster]" = {
+            spec.name: cluster for spec, cluster in zip(traffic.zones, zones)
+        }
         self.managers: "dict[str, SubsystemManager]" = {}
-        offset = 0
-        for zone in traffic.zones:
-            self.clusters[zone.name] = Cluster(
-                n_nodes=zone.n_nodes,
-                config=self.config,
-                seed=seed + offset,
-                service_workload=service_workload,
-                boot_time_s=boot_time_s,
-            )
-            offset += zone.n_nodes
-            if policy == "subsystem":
+        if policy == "subsystem":
+            for zone in traffic.zones:
                 self.managers[zone.name] = SubsystemManager(
                     zone.name, self.calibration.table, policy_config
                 )
@@ -368,9 +371,6 @@ class Datacenter:
         self.drift = FleetDriftMonitor(
             len(traffic.zones), slo_pct=drift_slo_pct
         )
-        self._zone_index = {
-            zone.name: i for i, zone in enumerate(traffic.zones)
-        }
         self._drift_firing: "set[str]" = set()
         self.last_report: "DatacenterReport | None" = None
 
@@ -394,11 +394,7 @@ class Datacenter:
         bank; parked nodes (off/boot/wake/nap) contribute their
         management-state constants, which the controller knows exactly.
         """
-        active = [
-            (i, node)
-            for i, node in enumerate(cluster.nodes)
-            if stepped[i]
-        ]
+        active = [node for node, live in zip(cluster.nodes, stepped) if live]
         parked_w = sum(
             node_powers[i]
             for i in range(len(cluster.nodes))
@@ -407,12 +403,12 @@ class Datacenter:
         if not active:
             return float(parked_w)
         lanes = np.fromiter(
-            (i for i, _ in active), dtype=np.int64, count=len(active)
+            (node.lane for node in active), dtype=np.int64, count=len(active)
         )
         rows = cluster._fleet.read_and_clear_lanes(lanes)
         estimated = 0.0
         pstates = np.fromiter(
-            (node.pstate for _, node in active),
+            (node.pstate for node in active),
             dtype=np.int64,
             count=len(active),
         )
@@ -472,31 +468,41 @@ class Datacenter:
                     self.managers[zone].place(
                         cluster, offered[zone], budgets[zone]
                     )
-            # 4. advance the simulation; ground-truth watts.
+            # 4. advance every zone one second in one fleet pass;
+            # ground-truth watts.  ``stepped`` and ``served`` are taken
+            # before the step (a node finishing its boot this second
+            # has simulated nothing yet).
+            clusters = list(self.clusters.values())
+            stepped = [
+                [node.available for node in cluster.nodes]
+                for cluster in clusters
+            ]
+            served = [
+                sum(
+                    node.assigned_threads
+                    for node in cluster.nodes
+                    if node.available
+                )
+                for cluster in clusters
+            ]
+            zone_powers = step_clusters(clusters)
             total_true = 0.0
             total_estimated = 0.0
             total_served = 0
             est_arr = np.zeros(len(self.clusters))
             true_arr = np.zeros(len(self.clusters))
-            for zone, cluster in self.clusters.items():
-                stepped = [node.available for node in cluster.nodes]
-                served = sum(
-                    node.assigned_threads
-                    for node in cluster.nodes
-                    if node.available
-                )
-                node_powers = cluster._step_second()
+            for z, (zone, cluster) in enumerate(self.clusters.items()):
+                node_powers = zone_powers[z]
                 true_w = float(sum(node_powers))
                 # 5. the sensor path.
                 if self.sensor == "estimated":
                     estimated_w = self._estimate_zone_w(
-                        cluster, node_powers, stepped
+                        cluster, node_powers, stepped[z]
                     )
                 else:
                     estimated_w = true_w
-                zone_i = self._zone_index[zone]
-                est_arr[zone_i] = estimated_w
-                true_arr[zone_i] = true_w
+                est_arr[z] = estimated_w
+                true_arr[z] = true_w
                 # Feedback for next second: a drift-firing zone falls
                 # back to its worst-case envelope instead of trusting
                 # the estimator.
@@ -510,7 +516,7 @@ class Datacenter:
                     manager.note_sensed(sensed[zone], budgets[zone])
                 total_true += true_w
                 total_estimated += estimated_w
-                total_served += served
+                total_served += served[z]
                 report.zone_power_w[zone].append(true_w)
                 report.zone_budget_w[zone].append(float(budgets[zone]))
                 report.zone_nodes_active[zone].append(

@@ -312,13 +312,17 @@ class FleetServer:
         self._chip_mean = np.asarray(
             [float(gen.uniform(low, high)) for gen in chip_gens]
         )
-        self._chip_stream = _FleetNormalStream(chip_gens)
-        self._thread_streams = [
-            _FleetNormalStream(
-                [_lane_generator(seed, f"thread-{k}") for seed in seeds]
-            )
-            for k in range(n_thr)
-        ]
+        # Every per-tick normal draw comes from one stream: row ``k``
+        # of its ``(n_thr + 1, width)`` draw is thread ``k``'s
+        # generator on each lane, the last row the chipset's.
+        self._normal_stream = _FleetNormalStream(
+            [
+                _lane_generator(seed, f"thread-{k}")
+                for k in range(n_thr)
+                for seed in seeds
+            ]
+            + chip_gens
+        )
         meas = config.measurement
         self._samp_gens = [_lane_generator(seed, "sampler") for seed in seeds]
         first_deadline = [
@@ -587,8 +591,12 @@ class FleetServer:
 
     @property
     def now_s(self) -> float:
-        """Simulated time of lane 0 (all active lanes share a clock)."""
-        return float(self._now[0])
+        """Simulated time of the furthest lane.
+
+        A frozen lane's clock stops with it, so lanes of one fleet can
+        disagree; :meth:`lane` views report each lane's own clock.
+        """
+        return float(self._now.max())
 
     def set_all_pstates(self, state_index: int) -> None:
         """Switch every package of every lane to one DVFS point."""
@@ -896,8 +904,12 @@ class FleetServer:
         samp_wstart, samp_deadline = self._samp_wstart, self._samp_deadline
         daq_wstart = self._daq_wstart
         plans = self._plans
-        streams = self._thread_streams
-        chip_stream = self._chip_stream
+        normal_stream = self._normal_stream
+        # Draw mask: thread rows set per tick, the chipset row is the
+        # batch's active mask.
+        draw_mask = np.empty((n_thr + 1, width), dtype=bool)
+        draw_mask[n_thr] = act
+        draw_mask_flat = draw_mask.reshape(-1)
         smt, smt_yield2 = self._smt, self._smt_yield * 2.0
         max_upc, isc = self._max_upc, self._isc
         variability = self._variability
@@ -936,7 +948,6 @@ class FleetServer:
         per_tick = self._timer_per_tick
         timer_steady = float(int(per_tick)) == per_tick
         pkg_col = np.arange(n_pkg)[:, None]
-        pkg_col3 = np.arange(n_pkg)[:, None, None]
         lanes = np.arange(width)
         mat_all, name_all = self._mat_all, self._name_all
         sync_all, plan_offsets = self._sync_all, self._plan_offsets
@@ -946,6 +957,22 @@ class FleetServer:
         monitors = self._monitors
         fleet_monitor = self._fleet_monitor
         batch_energy = np.zeros(width)
+        # Per-tick scratch, allocated once per batch.  The thread and
+        # package folds write their terms into a buffer whose leading
+        # axis is the one summed, and one np.add.reduce(axis=0) folds
+        # it.  numpy adds a leading axis's rows one at a time, in index
+        # order, into a zeroed result whenever the remaining axes hold
+        # more than one element; pairwise summation, which would
+        # reorder the adds, applies only when the summed axis is the
+        # innermost one left.  Every buffer below keeps 8 or 17 terms
+        # behind its leading axis, so this holds at any width
+        # (pinned by tests/test_fleet.py::TestFoldOrder).
+        idx2 = np.empty((n_thr, width), dtype=np.int64)
+        contrib = np.empty((n_thr, 17, width))
+        masked = np.empty((n_thr, 17, n_pkg, width))
+        acc = np.empty((17, n_pkg, width))
+        sys_terms = np.empty((n_pkg, 8, width))
+        bus_terms = np.empty((n_pkg, 8, width))
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for _ in range(n_ticks):
@@ -986,7 +1013,6 @@ class FleetServer:
                 position = np.where(
                     loop_col, np.mod(runtime, cycle_col), runtime
                 )
-                idx2 = np.empty((n_thr, width), dtype=np.int64)
                 for k in range(n_thr):
                     idx2[k] = plans[k].bounds.searchsorted(
                         position[k], side="right"
@@ -996,13 +1022,13 @@ class FleetServer:
                 nid2 = name_all[gidx]
                 sync2 = runm2 & sync_all[gidx] & (nid2 != last_name_id)
                 np.copyto(last_name_id, nid2, where=runm2)
-                for k in range(n_thr):
-                    draw = streams[k].next(runm2[k])
-                    ou_k = ou[k]
-                    np.copyto(
-                        ou_k, ou_alpha * ou_k + ou_noise * draw,
-                        where=runm2[k],
-                    )
+                draw_mask[:n_thr] = runm2
+                draws = normal_stream.next(draw_mask_flat).reshape(
+                    n_thr + 1, width
+                )
+                np.copyto(
+                    ou, ou_alpha * ou + ou_noise * draws[:n_thr], where=runm2
+                )
                 mod2 = np.maximum(1.0 + variability * ou, 0.1)
                 runtime += np.where(runm2, dt, 0.0)
                 unplaced2 = runm2 & (affinity < 0)
@@ -1020,8 +1046,9 @@ class FleetServer:
                         cols = np.nonzero(unplaced)[0]
                         bound[aff[cols], cols] += 1
                         ctx += unplaced
-                onehot3 = (affinity[None] == pkg_col3) & runm2[None]
-                cp = onehot3.sum(axis=1, dtype=np.int64)
+                # onehot[k, p, lane]: thread k runs on package p.
+                onehot = (affinity[:, None, :] == pkg_col) & runm2[:, None, :]
+                cp = onehot.sum(axis=0, dtype=np.int64)
                 ctx += np.maximum(cp - smt, 0).sum(axis=0)
                 share = np.where(cp > smt, smt / cp, 1.0)
                 smt_scale = np.where(cp <= 1, 1.0, smt_yield2 / cp)
@@ -1030,7 +1057,8 @@ class FleetServer:
                 # (3) CPU packages: per-thread execution and traffic
                 # computed for every (thread, lane) at once, then
                 # accumulated into per-package partials in thread order
-                # (row layout mirrors the scalar accumulators).
+                # by one fold over the thread-leading masked array (row
+                # layout mirrors the scalar accumulators).
                 aff_safe2 = np.maximum(affinity, 0)
                 share_g = share[aff_safe2, lanes]
                 smt_g = smt_scale[aff_safe2, lanes]
@@ -1042,39 +1070,49 @@ class FleetServer:
                 )
                 cpi = 1.0 / tgt
                 stall = G[..., _C_SM] * latency
+                # Each per-thread quantity lands in its contrib row.
                 tc = cycles * occ2
-                texec2 = (smt_g * tc) / (cpi + stall)
-                tfetch2 = texec2 * G[..., _C_WF1]
-                tfp = texec2 * G[..., _C_FP]
-                tspec = (G[..., _C_SPEC] * tc) * mod2
+                texec2 = np.divide(smt_g * tc, cpi + stall, out=contrib[:, 0])
+                tfetch2 = np.multiply(
+                    texec2, G[..., _C_WF1], out=contrib[:, 1]
+                )
+                np.multiply(texec2, G[..., _C_FP], out=contrib[:, 2])
+                np.multiply(G[..., _C_SPEC] * tc, mod2, out=contrib[:, 3])
                 kuops = texec2 / 1000.0
-                lm = (kuops * G[..., _C_L3]) * mod2
-                tlbm = (kuops * G[..., _C_TLBK]) * mod2
-                pf = ((lm * ppm) * G[..., _C_STREAM]) * ramp
+                lm = np.multiply(
+                    kuops * G[..., _C_L3], mod2, out=contrib[:, 4]
+                )
                 sharing = np.maximum(cp_g - 1, 0)
-                wb = lm * (G[..., _C_WB] * (1.0 + G[..., _C_CPRESS] * sharing))
-                pw = tlbm * pw_per_tlb
-                ua = G[..., _C_UNC] * occ2
-                tx2 = (((lm + wb) + pw) + ua) + pf
-                contrib = np.stack(
-                    (
-                        texec2, tfetch2, tfp, tspec, lm, wb, pw, pf, ua,
-                        tlbm, G[..., _C_STREAM] * tx2, tx2,
-                        G[..., _C_FR], G[..., _C_FW], G[..., _C_HW],
-                        G[..., _C_NRX], G[..., _C_NTX],
-                    )
+                wb = np.multiply(
+                    lm,
+                    G[..., _C_WB] * (1.0 + G[..., _C_CPRESS] * sharing),
+                    out=contrib[:, 5],
                 )
-                acc = np.zeros((17, n_pkg, width))
-                for k in range(n_thr):
-                    acc += np.where(
-                        onehot3[None, :, k, :], contrib[:, k, None, :], 0.0
-                    )
-                # max() is order-free, so the package occupancy fold can
-                # reduce over the thread axis in one pass.
-                occm = np.max(
-                    np.where(onehot3, occ2[None], 0.0), axis=1
+                tlbm = np.multiply(
+                    kuops * G[..., _C_TLBK], mod2, out=contrib[:, 9]
                 )
-                psync = (onehot3 & sync2[None]).any(axis=1)
+                pw = np.multiply(tlbm, pw_per_tlb, out=contrib[:, 6])
+                pf = np.multiply(
+                    (lm * ppm) * G[..., _C_STREAM], ramp, out=contrib[:, 7]
+                )
+                ua = np.multiply(G[..., _C_UNC], occ2, out=contrib[:, 8])
+                tx2 = np.add(
+                    (((lm + wb) + pw) + ua), pf, out=contrib[:, 11]
+                )
+                np.multiply(G[..., _C_STREAM], tx2, out=contrib[:, 10])
+                # File and network rates, _C_FR.._C_NTX, pass through.
+                contrib[:, 12:] = G[..., _C_FR:].transpose(0, 2, 1)
+                # Multiplying by the 0/1 mask adds exactly what
+                # np.where(onehot, contrib, 0.0) would: contrib is
+                # finite, so masked-out terms are +-0.0, and a fold that
+                # starts at +0.0 never holds -0.0, so they add nothing.
+                np.multiply(
+                    contrib[:, :, None, :], onehot[:, None], out=masked
+                )
+                np.add.reduce(masked, axis=0, out=acc)
+                # max() is order-free too.
+                occm = np.max(np.where(onehot, occ2[:, None, :], 0.0), axis=0)
+                psync = (onehot & sync2[:, None, :]).any(axis=0)
                 (
                     p_exec, p_fetch, p_fp, p_spec, p_dlm, p_wb, p_pw, p_pf,
                     p_ua, p_tlb, p_streamw, p_weight, p_fr, p_fw, p_hw,
@@ -1082,7 +1120,7 @@ class FleetServer:
                 ) = acc
                 ib = np.minimum((irq * isc) / cycles, 0.5)
                 occ = np.where(active_pkg, np.minimum(occm + ib, 1.0), ib)
-                halted = cycles * (1.0 - occ)
+                halted = np.multiply(cycles, 1.0 - occ, out=bus_terms[:, 7])
                 idle_uops = cycles * ib
                 fetched = np.where(active_pkg, p_fetch, idle_uops * 0.4)
                 executed = np.where(active_pkg, p_exec, idle_uops * 0.35)
@@ -1103,31 +1141,26 @@ class FleetServer:
                 dynamic = (uop_w * fupc) * (1.0 + fp_premium * fp_share) + (
                     spec_w * supc
                 )
-                pkg_power = (
+                np.add(
                     halted_v
-                    + ((active_delta * occ_pw) * ascale) * power_scale
-                    + dynamic * power_scale
+                    + ((active_delta * occ_pw) * ascale) * power_scale,
+                    dynamic * power_scale,
+                    out=bus_terms[:, 6],
                 )
                 # System folds, summed in package order like the scalar
-                # per-quantity accumulators (never ndarray.sum: pairwise
-                # summation would reorder the adds).
-                demand = np.zeros(width)
-                prefetch_sum = np.zeros(width)
-                file_read = np.zeros(width)
-                file_write = np.zeros(width)
-                tlb_total = np.zeros(width)
-                weighted_hit = np.zeros(width)
-                net_rx = np.zeros(width)
-                net_tx = np.zeros(width)
-                for p in range(n_pkg):
-                    demand += ((p_dlm[p] + p_wb[p]) + p_pw[p]) + p_ua[p]
-                    prefetch_sum += p_pf[p]
-                    file_read += p_fr[p]
-                    file_write += p_fw[p]
-                    tlb_total += p_tlb[p]
-                    weighted_hit += rhr[p] * p_fr[p]
-                    net_rx += p_nrx[p]
-                    net_tx += p_ntx[p]
+                # per-quantity accumulators.
+                np.add((p_dlm + p_wb) + p_pw, p_ua, out=sys_terms[:, 0])
+                sys_terms[:, 1] = p_pf
+                sys_terms[:, 2] = p_fr
+                sys_terms[:, 3] = p_fw
+                sys_terms[:, 4] = p_tlb
+                np.multiply(rhr, p_fr, out=sys_terms[:, 5])
+                sys_terms[:, 6] = p_nrx
+                sys_terms[:, 7] = p_ntx
+                (
+                    demand, prefetch_sum, file_read, file_write, tlb_total,
+                    weighted_hit, net_rx, net_tx,
+                ) = np.add.reduce(sys_terms, axis=0)
                 sync_req = psync.any(axis=0)
 
                 # (4) Page cache: dirty accounting and writeback policy.
@@ -1165,11 +1198,10 @@ class FleetServer:
                 # (5) Disk service: budget shared across queues in fixed
                 # order (sequential writes, random reads, random writes;
                 # the sequential-read queue is structurally empty).
-                budget = np.full(width, disk_budget0)
-                svc = np.minimum(budget, q_seq_write / seq_thr)
+                svc = np.minimum(disk_budget0, q_seq_write / seq_thr)
                 served_sw = svc * seq_thr
                 q_seq_write -= served_sw
-                budget -= svc
+                budget = disk_budget0 - svc
                 seek_s = svc * seq_seekf
                 xfer_s = svc * (1.0 - seq_seekf)
                 svc = np.minimum(budget, q_rand_read / rand_thr)
@@ -1257,28 +1289,19 @@ class FleetServer:
                 bus_latency[:] = base_latency / (1.0 - eff)
                 granted_snoops = total_snoops * dr
                 g_dlm = p_dlm * dr
-                g_wb = p_wb * dr
+                g_wb = np.multiply(p_wb, dr, out=bus_terms[:, 1])
                 g_pw = p_pw * dr
-                g_ua = p_ua * dr
-                g_pf = p_pf * pr
-                own_tx = (((g_dlm + g_wb) + g_pw) + g_ua) + g_pf
-                cpu_reads = np.zeros(width)
-                cpu_writes = np.zeros(width)
-                traffic_weight = np.zeros(width)
-                stream_weighted = np.zeros(width)
-                uncacheable_cpu = np.zeros(width)
-                prefetch_total = np.zeros(width)
-                cpu_power = np.zeros(width)
-                halted_total = np.zeros(width)
-                for p in range(n_pkg):
-                    cpu_reads += (g_dlm[p] + g_pw[p]) + g_pf[p]
-                    cpu_writes += g_wb[p]
-                    traffic_weight += own_tx[p]
-                    stream_weighted += stream_p[p] * own_tx[p]
-                    uncacheable_cpu += g_ua[p]
-                    prefetch_total += g_pf[p]
-                    cpu_power += pkg_power[p]
-                    halted_total += halted[p]
+                g_ua = np.multiply(p_ua, dr, out=bus_terms[:, 4])
+                g_pf = np.multiply(p_pf, pr, out=bus_terms[:, 5])
+                own_tx = np.add(
+                    ((g_dlm + g_wb) + g_pw) + g_ua, g_pf, out=bus_terms[:, 2]
+                )
+                np.add(g_dlm + g_pw, g_pf, out=bus_terms[:, 0])
+                np.multiply(stream_p, own_tx, out=bus_terms[:, 3])
+                (
+                    cpu_reads, cpu_writes, traffic_weight, stream_weighted,
+                    uncacheable_cpu, prefetch_total, cpu_power, halted_total,
+                ) = np.add.reduce(bus_terms, axis=0)
                 blended = np.where(
                     traffic_weight > 0, stream_weighted / traffic_weight, 0.5
                 )
@@ -1332,10 +1355,9 @@ class FleetServer:
                 # (9) Chipset and I/O ground-truth power; energy books.
                 unc_total = (uncacheable_cpu + dma_unc) + nic_unc
                 sa = 1.0 - halted_total / cycles_total
-                draw_c = chip_stream.next(act)
                 chip_offset[:] = (
                     chip_mean + chip_alpha * (chip_offset - chip_mean)
-                ) + chip_noise * draw_c
+                ) + chip_noise * draws[n_thr]
                 gate = (sa * sa) * (3.0 - 2.0 * sa)
                 dynamic_c = chip_bus_w * util + chip_io_w * np.minimum(
                     1.0, (unc_total / dt) / 2.0e5
@@ -1352,21 +1374,17 @@ class FleetServer:
                 )
                 io_power = io_static + io_energy / dt
                 io_total += io_bytes
-                energy5[0] += cpu_power * dt
-                energy5[1] += chipset_power * dt
-                energy5[2] += memory_power * dt
-                energy5[3] += io_power * dt
-                energy5[4] += disk_power * dt
-                e_time += dt
-                batch_energy += (
-                    (((cpu_power + chipset_power) + memory_power) + io_power)
-                    + disk_power
-                ) * dt
                 last_powers[0] = cpu_power
                 last_powers[1] = chipset_power
                 last_powers[2] = memory_power
                 last_powers[3] = io_power
                 last_powers[4] = disk_power
+                energy5 += last_powers * dt
+                e_time += dt
+                batch_energy += (
+                    (((cpu_power + chipset_power) + memory_power) + io_power)
+                    + disk_power
+                ) * dt
 
                 # (10) Per-process accounting (needs the bus grant).
                 proc_runtime += np.where(runm2, dt * occ2, 0.0)
@@ -1407,15 +1425,8 @@ class FleetServer:
                 # tick; a lane whose sampler deadline passed closes its
                 # window (counter snapshot + DAQ means + monitor pulse).
                 angle = (two_pi * now) / 900.0
-                powers5 = (
-                    cpu_power, chipset_power, memory_power, io_power,
-                    disk_power,
-                )
-                for si in range(5):
-                    drift = 1.0 + drift_rel * np.sin(
-                        angle + drift_phases[si]
-                    )
-                    wenergy[si] += ((powers5[si] * gains[si]) * drift) * dt
+                drift = 1.0 + drift_rel * np.sin(angle + drift_phases)
+                wenergy += ((last_powers * gains) * drift) * dt
                 closing = act & (now + 1.0e-12 >= samp_deadline)
                 if closing.any():
                     closed = np.nonzero(closing)[0]

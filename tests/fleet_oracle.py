@@ -36,7 +36,7 @@ class ScalarFleet:
 
     @property
     def now_s(self) -> float:
-        return self._servers[0].now_s
+        return max(server.now_s for server in self._servers)
 
     def _check_lane(self, lane: int) -> int:
         if not 0 <= lane < self.width:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cluster import (
     BOOT_TIME_S,
     BOOT_POWER_W,
@@ -15,6 +16,7 @@ from repro.cluster import (
     StaticManager,
     _NodeControl,
     diurnal_demand,
+    step_clusters,
 )
 from repro.simulator.config import fast_config
 from tests.conftest import TEST_SEED
@@ -316,3 +318,46 @@ class TestCluster:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             Cluster(n_nodes=0)
+        with pytest.raises(ValueError):
+            Cluster.zones([2, 0])
+
+    def test_fleet_clock_is_the_furthest_lane(self):
+        """Regression: a frozen lane 0 no longer pins the fleet clock
+        (and the ``fleet_time_seconds`` gauge) at its own time."""
+        cluster = Cluster(n_nodes=2, seed=3)
+        cluster.nodes[0].power_down()
+        cluster.nodes[1].set_load(4)
+        obs.enable()
+        try:
+            for _ in range(3):
+                cluster._step_second()
+            fleet = cluster._fleet
+            clocks = [node.server.now_s for node in cluster.nodes]
+            assert clocks[0] == 0.0
+            assert clocks[1] == pytest.approx(3.0)
+            assert fleet.now_s == clocks[1]
+            assert obs.gauge_value(
+                "fleet_time_seconds", {"workload": fleet.workload.name}
+            ) == clocks[1]
+        finally:
+            obs.disable()
+
+    def test_zones_share_one_fleet_and_match_lone_clusters(self):
+        """Zones are contiguous lane ranges of one fleet; stepped
+        together, each node matches the same node of a lone cluster."""
+        zones = Cluster.zones([2, 1], seed=TEST_SEED)
+        assert zones[0]._fleet is zones[1]._fleet
+        assert [n.lane for z in zones for n in z.nodes] == [0, 1, 2]
+        alone = [
+            Cluster(n_nodes=2, seed=TEST_SEED),
+            Cluster(n_nodes=1, seed=TEST_SEED + 2),
+        ]
+        for clusters in (zones, alone):
+            clusters[0].nodes[0].set_load(5)
+            clusters[0].nodes[1].set_pstate(2)
+            clusters[1].nodes[0].set_load(8)
+        shared = [step_clusters(zones) for _ in range(3)]
+        lone = [[c._step_second() for c in alone] for _ in range(3)]
+        assert shared == lone
+        with pytest.raises(ValueError, match="share one fleet"):
+            step_clusters(alone)

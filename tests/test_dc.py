@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import repro.cluster
+import repro.dc.datacenter
 from repro import obs
 from repro.cluster import NAP_POWER_W, STANDBY_POWER_W, _NodeControl
 from repro.dc import (
@@ -362,11 +363,39 @@ class TestDatacenter:
     def test_fleet_and_scalar_engines_agree(
         self, monkeypatch, config, calibration
     ):
-        """The fleet zones match one scalar server per node (the
-        :class:`ScalarFleet` oracle swapped in for ``FleetServer``)."""
-        cap = 0.7 * calibration.reference_peak_w * 4
+        """The shared fleet's zones match one scalar server per node
+        (the :class:`ScalarFleet` oracle swapped in for ``FleetServer``
+        in every module that builds one)."""
         zones = (ZoneSpec("a", 2, 2.8e5), ZoneSpec("b", 2, 2.4e5))
-        traffic = TrafficModel(zones, period_s=24.0, seed=9)
+        self._assert_oracle_agrees(monkeypatch, config, calibration, zones)
+
+    def test_unequal_zones_with_outage_agree_with_scalar(
+        self, monkeypatch, config, calibration
+    ):
+        """4/2/1-node zones, one dark for a while: parked nodes and
+        mixed per-lane pstates within one fleet pass stay bit-exact."""
+        zones = (
+            ZoneSpec("a", 4, 5.6e5),
+            ZoneSpec("b", 2, 2.8e5, phase_s=6.0),
+            ZoneSpec("c", 1, 1.4e5, phase_s=12.0),
+        )
+        self._assert_oracle_agrees(
+            monkeypatch,
+            config,
+            calibration,
+            zones,
+            outages=(ZoneOutage("c", 8.0, 6.0),),
+        )
+
+    @staticmethod
+    def _assert_oracle_agrees(
+        monkeypatch, config, calibration, zones, outages=()
+    ):
+        sizes = tuple(zone.n_nodes for zone in zones)
+        cap = 0.7 * calibration.reference_peak_w * sum(sizes)
+        traffic = TrafficModel(
+            zones, period_s=24.0, outages=outages, seed=9
+        )
 
         def run():
             return Datacenter(
@@ -377,9 +406,40 @@ class TestDatacenter:
                 seed=77,
             ).run(24)
 
+        oracles = []
+
+        class RecordingScalarFleet(ScalarFleet):
+            """The oracle, recording every fleet built and every step."""
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.steps = []
+                oracles.append(self)
+
+            def run_ticks(self, n_ticks, active=None):
+                self.steps.append((active.copy(), self.lane_pstates()))
+                return super().run_ticks(n_ticks, active)
+
         reports = {"fleet": run()}
-        monkeypatch.setattr(repro.cluster, "FleetServer", ScalarFleet)
+        for module in (repro.cluster, repro.dc.datacenter):
+            monkeypatch.setattr(module, "FleetServer", RecordingScalarFleet)
         reports["scalar"] = run()
+        # One oracle fleet for the whole datacenter, stepped once per
+        # second, and every zone's nodes actually ran on it.
+        (oracle,) = oracles
+        assert oracle.width == sum(sizes)
+        assert len(oracle.steps) == 24
+        ran = np.any([active for active, _ in oracle.steps], axis=0)
+        bounds = np.cumsum((0,) + sizes)
+        for first, end in zip(bounds[:-1], bounds[1:]):
+            assert ran[first:end].any()
+        if outages:
+            # Parked nodes and mixed per-lane pstates within one pass.
+            assert any(not active.all() for active, _ in oracle.steps)
+            assert any(
+                len(np.unique(pstates[active])) > 1
+                for active, pstates in oracle.steps
+            )
         assert reports["fleet"].power_w == reports["scalar"].power_w
         assert np.allclose(
             reports["fleet"].estimated_power_w,

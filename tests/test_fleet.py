@@ -171,6 +171,50 @@ class TestRngStreamIndependence:
             )
 
 
+class TestFoldOrder:
+    """The kernel's thread and package folds are ``np.add.reduce`` over
+    a leading axis.  They are bit-exact with the scalar accumulators
+    only because numpy adds a leading axis's rows one at a time, in
+    index order, when the other axes hold more than one element
+    (pairwise summation applies only along the innermost axis).  A
+    numpy release that changes this fails here first."""
+
+    @staticmethod
+    def _terms(rng, shape):
+        # Magnitudes spread over 16 decades, so any reordering of the
+        # adds changes the rounding; a third of the terms are +-0.0.
+        terms = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+        zeros = rng.random(shape) < 0.33
+        terms[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+        return terms
+
+    @staticmethod
+    def _sequential(terms):
+        total = np.zeros(terms.shape[1:])
+        for row in terms:
+            total += row
+        return total
+
+    @pytest.mark.parametrize("width", [1, 44, 1024])
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 17, 4), (8, 17, 4), (16, 17, 4), (4, 8)],
+        ids=["thr1", "thr8", "thr16", "pkg"],
+    )
+    def test_leading_axis_reduce_is_a_sequential_fold(self, shape, width):
+        rng = np.random.default_rng(width + sum(shape))
+        for terms in (
+            self._terms(rng, shape + (width,)),
+            np.full(shape + (width,), -0.0),
+        ):
+            expected = self._sequential(terms).view(np.uint64).tolist()
+            out = np.empty(terms.shape[1:])
+            np.add.reduce(terms, axis=0, out=out)
+            assert out.view(np.uint64).tolist() == expected
+            folded = np.add.reduce(terms, axis=0)
+            assert folded.view(np.uint64).tolist() == expected
+
+
 class _RecordingMonitor:
     """Minimal live monitor: records every window pulse it sees."""
 
