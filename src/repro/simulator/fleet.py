@@ -8,7 +8,9 @@ chipset, disk, NIC, DMA, interrupts, page cache, sensors/DAQ) across
 the whole fleet per tick.  Per-lane work that cannot vectorize — RNG
 buffer refills and sampling-window bookkeeping — happens on the rare
 ticks where it is due, so the aggregate cost per lane-tick shrinks
-roughly with the fleet width.
+roughly with the fleet width.  Thread terms that depend only on
+placement and phase are rebuilt only for the lanes where those changed
+(:class:`_ThreadTerms`).
 
 Equivalence with the scalar :class:`~repro.simulator.system.Server`
 --------------------------------------------------------------------
@@ -69,6 +71,10 @@ _EVENTS = tuple(Event)
 _EIDX = {event: i for i, event in enumerate(_EVENTS)}
 _N_EVENTS = len(_EVENTS)
 
+#: Ticks of DAQ drift factors computed at once (see
+#: :meth:`FleetServer._drift_block`).
+_DRIFT_BLOCK = 128
+
 #: Interrupt vectors delivered through the fleet's shared round-robin
 #: cursor, in scalar delivery order (procfs accounting rows).
 _VECTORS = tuple(Vector)
@@ -91,11 +97,14 @@ class _FleetNormalStream:
     block buffer refilled from its own generator, so lane ``i`` hands
     out exactly the sequence the scalar stream at the same seed would.
     A lane's buffer only refills (and its cursor only advances) on
-    ticks where ``mask`` is true for that lane — frozen lanes consume
-    nothing.
+    draws where the mask last given to :meth:`set_mask` is true for
+    that lane — frozen lanes consume nothing.
     """
 
-    __slots__ = ("_gens", "_buf", "_pos", "_pos0", "_uniform", "_idx", "_block")
+    __slots__ = (
+        "_gens", "_buf", "_pos", "_pos0", "_uniform", "_block", "_base",
+        "_mask", "_flat", "_left",
+    )
 
     def __init__(self, gens: "list[np.random.Generator]", block: int = 1024) -> None:
         width = len(gens)
@@ -104,44 +113,63 @@ class _FleetNormalStream:
         self._buf = np.zeros((width, block))
         #: Cursor at block => empty, refill before next draw.
         self._pos = np.full(width, block, dtype=np.int64)
-        #: While every call has drawn on *all* lanes the cursors stay
-        #: equal; a single scalar cursor then replaces the per-lane
-        #: fancy-index (the hot case — fleets with no frozen lanes).
+        #: While every mask has been all-true the cursors stay equal; a
+        #: single scalar cursor then replaces the per-lane ones (the
+        #: hot case — fleets with no frozen lanes or threads).
         self._pos0 = block
         self._uniform = True
-        self._idx = np.arange(width)
+        #: Per-lane cursors: the mask, each lane's flat buffer index and
+        #: how many draws are left before a masked lane runs dry.
+        self._base = np.arange(width) * block
+        self._mask = np.zeros(width, dtype=bool)
+        self._flat = self._base.copy()
+        self._left = 0
 
-    def next(self, mask: np.ndarray) -> np.ndarray:
-        """One draw per lane where ``mask``; other lanes get garbage.
+    def set_mask(self, mask: np.ndarray) -> None:
+        """Draw on the lanes where ``mask`` until the next call."""
+        if self._uniform:
+            if mask.all():
+                return
+            # First partially-masked draw: fall back to per-lane cursors.
+            self._uniform = False
+            self._pos[:] = self._pos0
+        np.copyto(self._mask, mask)
+        self._reindex()
 
-        The returned values at ``~mask`` lanes are stale buffer
-        contents — callers must gate on ``mask`` (the tick loop always
+    def _reindex(self) -> None:
+        block, pos = self._block, self._pos
+        self._flat = self._base + np.minimum(pos, block - 1)
+        live = pos[self._mask]
+        self._left = block - int(live.max()) if live.size else block
+
+    def next(self) -> np.ndarray:
+        """One draw per masked lane; other lanes get garbage.
+
+        The returned values at unmasked lanes are stale buffer
+        contents — callers must gate on the mask (the tick loop always
         does via ``np.where``/``np.copyto``).
         """
         block = self._block
         if self._uniform:
-            if mask.all():
-                pos0 = self._pos0
-                if pos0 >= block:
-                    buf = self._buf
-                    for lane, gen in enumerate(self._gens):
-                        buf[lane] = gen.standard_normal(block)
-                    pos0 = 0
-                self._pos0 = pos0 + 1
-                return self._buf[:, pos0]
-            # First partially-masked call: fall back to per-lane cursors.
-            self._uniform = False
-            self._pos[:] = self._pos0
-        pos = self._pos
-        need = mask & (pos >= block)
-        if need.any():
-            buf = self._buf
-            gens = self._gens
-            for lane in np.nonzero(need)[0]:
+            pos0 = self._pos0
+            if pos0 >= block:
+                buf = self._buf
+                for lane, gen in enumerate(self._gens):
+                    buf[lane] = gen.standard_normal(block)
+                pos0 = 0
+            self._pos0 = pos0 + 1
+            return self._buf[:, pos0]
+        mask, pos = self._mask, self._pos
+        if self._left <= 0:
+            buf, gens = self._buf, self._gens
+            for lane in np.nonzero(mask & (pos >= block))[0]:
                 buf[lane] = gens[lane].standard_normal(block)
                 pos[lane] = 0
-        out = self._buf[self._idx, np.minimum(pos, block - 1)]
+            self._reindex()
+        out = self._buf.take(self._flat)
+        self._flat += mask
         pos += mask
+        self._left -= 1
         return out
 
 
@@ -267,6 +295,187 @@ class _PlanTable:
 ) = range(17)
 
 
+class _ThreadTerms:
+    """The thread terms of one batch that change only with placement
+    or phase, cached per lane.
+
+    Of the scheduler's and packages' per-thread work, only the OU
+    modulation and the latency-dependent terms change every tick.  The
+    rest depends only on the run mask, the thread affinities and each
+    thread's phase index: the phase-parameter gather, the packages'
+    thread slots and occupancy, the SMT share and sharing factors, the
+    pass-through rate columns and the runtime and context-switch
+    increments.  :meth:`refresh` rebuilds those terms only for the
+    lanes whose run mask changed or one of whose threads left its
+    cached phase interval ``[lo, hi)``, both checked from live state
+    every tick.  The fleet state that changes only with the run mask
+    or phase is updated there too: first-run placement (the thread did
+    not run the tick before), each thread's last phase name and whether
+    it ever ran.  Every rebuilt term is the exact value the tick would
+    compute afresh, so lanes stay bit-identical to the scalar server.
+
+    The cache lives for one :meth:`FleetServer.run_ticks` batch: the
+    first tick rebuilds every lane.
+    """
+
+    __slots__ = (
+        "_fleet", "_cycles", "_lanes", "_row_lane", "_gathered",
+        "sync_req", "mask", "lo", "hi", "g", "contrib", "fold_idx", "smt_tc",
+        "spec_tc", "wbf", "occm", "active_pkg", "n_run", "ctx_inc",
+        "rt_inc", "prt_inc",
+    )
+
+    def __init__(self, fleet: "FleetServer", cycles: "float | np.ndarray") -> None:
+        n_thr, n_pkg, width = fleet._n_thr, fleet._n_pkg, fleet.width
+        self._fleet = fleet
+        self._cycles = cycles
+        self._lanes = np.arange(width)
+        self.sync_req: "np.ndarray | None" = None
+        # An empty interval: no position lies in it, so the first tick
+        # rebuilds every lane.
+        self.mask = np.zeros((n_thr, width), dtype=bool)
+        self.lo = np.full((n_thr, width), np.inf)
+        self.hi = np.full((n_thr, width), -np.inf)
+        #: Phase parameters, ``(n_thr, 17, width)`` (``_C_*`` rows).
+        self.g = np.empty((n_thr, 17, width))
+        #: The package fold's per-thread terms plus, last, a row of
+        #: zeros that empty thread slots fold.  Rows 8 (uncacheable
+        #: accesses) and 12-16 (file and network rates) are cached
+        #: here; the tick writes the others.
+        self.contrib = np.zeros((n_thr + 1, 17, width))
+        # Each first run takes the package with the fewest threads
+        # placed so far, so no package ever holds more than
+        # ceil(n_thr / n_pkg) threads: that many slots per package.
+        n_slots = -(-n_thr // n_pkg)
+        #: Flat ``contrib`` index that slot s of package p folds into
+        #: row c of its partials: the package's running threads in
+        #: thread order, then the zero row.
+        self.fold_idx = np.empty((n_slots, 17, n_pkg, width), dtype=np.intp)
+        self._gathered = np.empty((n_slots, 17, n_pkg, width))
+        self._row_lane = (np.arange(17) * width)[:, None, None] + self._lanes
+        self.smt_tc = np.empty((n_thr, width))
+        self.spec_tc = np.empty((n_thr, width))
+        self.wbf = np.empty((n_thr, width))
+        self.occm = np.empty((n_pkg, width))
+        self.active_pkg = np.empty((n_pkg, width), dtype=bool)
+        self.n_run = np.empty(width, dtype=np.int64)
+        self.ctx_inc = np.empty(width, dtype=np.int64)
+        self.rt_inc = np.empty((n_thr, width))
+        self.prt_inc = np.empty((n_thr, width))
+
+    def refresh(self, runm2: np.ndarray, position: np.ndarray) -> bool:
+        """Rebuild the stale lanes; True when any lane was rebuilt.
+
+        Also sets :attr:`sync_req`, this tick's file-sync requests by
+        lane: a thread requests one when it enters a syncing phase,
+        which is only ever on a rebuild, so it is ``None`` (no request
+        on any lane) on most ticks.
+        """
+        self.sync_req = None
+        stale = (runm2 != self.mask) | (position < self.lo)
+        stale |= position >= self.hi
+        stale = stale.any(axis=0)
+        if not stale.any():
+            return False
+        cols = slice(None) if stale.all() else np.nonzero(stale)[0]
+        self._rebuild(cols, runm2[:, cols], position[:, cols])
+        return True
+
+    def fold(self, acc: np.ndarray) -> None:
+        """Per-package partials ``acc[row, p]`` of ``contrib``.
+
+        Each package's running threads are added in thread order into
+        +0.0, as the scalar accumulators do; the zero row an empty
+        slot adds after them changes nothing (a sum that starts at
+        +0.0 is never -0.0).  ``np.add.reduce`` over the slot axis is
+        that sequential fold (pinned by
+        tests/test_fleet.py::TestFoldOrder).
+        """
+        gathered = self._gathered
+        np.take(self.contrib, self.fold_idx, mode="clip", out=gathered)
+        np.add.reduce(gathered, axis=0, out=acc)
+
+    def _rebuild(self, cols, runm, position) -> None:
+        fleet = self._fleet
+        n_thr, n_pkg, smt = fleet._n_thr, fleet._n_pkg, fleet._smt
+        affinity, last_name_id = fleet._affinity, fleet._last_name_id
+        lanes = self._lanes[cols]
+        n = lanes.size
+        unplaced = runm & (affinity[:, cols] < 0)
+        if unplaced.any():
+            # First run of a thread: scalar placement order — thread k
+            # sees the bounds updated by threads < k.
+            bound, ctx = fleet._bound, fleet._ctx
+            for k in range(n_thr):
+                placed = lanes[unplaced[k]]
+                if placed.size:
+                    pkg = np.argmin(bound[:, placed], axis=0)
+                    affinity[k, placed] = pkg
+                    bound[pkg, placed] += 1
+                    ctx[placed] += 1
+        idx = np.empty((n_thr, n), dtype=np.int64)
+        for k, plan in enumerate(fleet._plans):
+            idx[k] = plan.bounds.searchsorted(position[k], side="right")
+        np.minimum(idx, fleet._nph_col - 1, out=idx)
+        gidx = idx + fleet._plan_offsets
+        nid = fleet._name_all[gidx]
+        last = last_name_id[:, cols]
+        sync2 = runm & fleet._sync_all[gidx] & (nid != last)
+        last_name_id[:, cols] = np.where(runm, nid, last)
+        self.mask[:, cols] = runm
+        fleet._ran_ever[:, cols] |= runm
+        self.lo[:, cols] = fleet._lo_all[gidx]
+        self.hi[:, cols] = fleet._hi_all[gidx]
+
+        # onehot[k, p, lane]: thread k runs on package p.
+        aff = affinity[:, cols]
+        onehot = (aff[:, None, :] == np.arange(n_pkg)[:, None]) & runm[
+            :, None, :
+        ]
+        cp = onehot.sum(axis=0, dtype=np.int64)
+        self.ctx_inc[cols] = np.maximum(cp - smt, 0).sum(axis=0)
+        self.n_run[cols] = cp.sum(axis=0)
+        self.active_pkg[:, cols] = cp > 0
+        slot_thr = np.full((self.fold_idx.shape[0], n_pkg, n), n_thr)
+        ks, ps, ls = np.nonzero(onehot)
+        slot_thr[(np.cumsum(onehot, axis=0) - 1)[ks, ps, ls], ps, ls] = ks
+        self.fold_idx[..., cols] = (
+            slot_thr[:, None] * (17 * fleet.width) + self._row_lane[..., cols]
+        )
+        share = np.where(cp > smt, smt / cp, 1.0)
+        smt_scale = np.where(cp <= 1, 1.0, (fleet._smt_yield * 2.0) / cp)
+        aff_safe = np.maximum(aff, 0)
+        at = np.arange(n)
+        share_g = share[aff_safe, at]
+        smt_g = smt_scale[aff_safe, at]
+        cp_g = cp[aff_safe, at]
+        G = fleet._mat_all[gidx]
+        self.g[:, :, cols] = G.transpose(0, 2, 1)
+        occ2 = G[..., _C_OCC0] * share_g
+        cycles = self._cycles
+        if isinstance(cycles, np.ndarray):
+            cycles = cycles[cols]
+        tc = cycles * occ2
+        self.smt_tc[:, cols] = smt_g * tc
+        self.spec_tc[:, cols] = G[..., _C_SPEC] * tc
+        sharing = np.maximum(cp_g - 1, 0)
+        self.wbf[:, cols] = G[..., _C_WB] * (1.0 + G[..., _C_CPRESS] * sharing)
+        self.contrib[:n_thr, 8, cols] = G[..., _C_UNC] * occ2
+        self.contrib[:n_thr, 12:, cols] = G[..., _C_FR:].transpose(0, 2, 1)
+        # max() is order-free.
+        self.occm[:, cols] = np.max(
+            np.where(onehot, occ2[:, None, :], 0.0), axis=0
+        )
+        dt = fleet._dt
+        self.rt_inc[:, cols] = np.where(runm, dt, 0.0)
+        self.prt_inc[:, cols] = np.where(runm, dt * occ2, 0.0)
+        # A running thread sits on exactly one package, so a package
+        # with a syncing thread is just a lane with one.
+        if sync2.any():
+            self.sync_req = np.zeros(fleet.width, dtype=bool)
+            self.sync_req[cols] = sync2.any(axis=0)
+
+
 class FleetServer:
     """``width`` independent simulated servers stepped in lockstep.
 
@@ -367,6 +576,14 @@ class FleetServer:
         self._nph_col = np.asarray(
             [t.n_phases for t in plans], dtype=np.int64
         )[:, None]
+        # The positions each (clamped) phase index covers: [lo, hi)
+        # with the first phase open below and the last open above.
+        self._lo_all = np.concatenate(
+            [np.concatenate(([-np.inf], t.bounds[:-1])) for t in plans]
+        )
+        self._hi_all = np.concatenate(
+            [np.concatenate((t.bounds[:-1], [np.inf])) for t in plans]
+        )
         self._has_nonloop = not all(t.loop for t in plans)
 
         # -- per-tick constants (python floats, scalar association) ----
@@ -458,8 +675,8 @@ class FleetServer:
         # _STATE_NAMES is snapshot/restored around frozen lanes --------
         self._now = np.zeros(width)
         self._timer_residual = np.zeros(width)
-        self._pend_disk = np.zeros((n_pkg, width))
-        self._pend_net = np.zeros((n_pkg, width))
+        #: Device interrupts pending per package: row 0 disk, 1 NIC.
+        self._pend_irq = np.zeros((2, n_pkg, width))
         self._irq_cursor = np.zeros(width, dtype=np.int64)
         self._acct = np.zeros((len(_VECTORS), n_pkg, width))
         self._runtime = np.zeros((n_thr, width))
@@ -476,10 +693,9 @@ class FleetServer:
         self._pc_synced = np.zeros(width)
         self._q_seq_write = np.zeros(width)
         self._q_rand_read = np.zeros(width)
-        self._q_rand_write = np.zeros(width)
         self._disk_total = np.zeros(width)
-        self._dma_residual = np.zeros(width)
-        self._nic_residual = np.zeros(width)
+        #: Fractional completion interrupts: row 0 disk DMA, 1 NIC.
+        self._dev_residual = np.zeros((2, width))
         self._nic_total = np.zeros(width)
         self._io_total = np.zeros(width)
         self._chip_offset = self._chip_mean.copy()
@@ -489,8 +705,8 @@ class FleetServer:
         self._wenergy = np.zeros((5, width))
         self._last_powers = np.zeros((5, width))
         self._proc_runtime = np.zeros((n_thr, width))
-        self._proc_exec = np.zeros((n_thr, width))
-        self._proc_fetch = np.zeros((n_thr, width))
+        #: Executed (column 0) and fetched (1) uops per thread.
+        self._proc_uops = np.zeros((n_thr, 2, width))
         self._proc_bus = np.zeros((n_thr, width))
         self._ran_ever = np.zeros((n_thr, width), dtype=bool)
         self._samp_wstart = np.zeros(width)
@@ -514,8 +730,7 @@ class FleetServer:
     _STATE_NAMES = (
         "_now",
         "_timer_residual",
-        "_pend_disk",
-        "_pend_net",
+        "_pend_irq",
         "_irq_cursor",
         "_acct",
         "_runtime",
@@ -532,10 +747,8 @@ class FleetServer:
         "_pc_synced",
         "_q_seq_write",
         "_q_rand_read",
-        "_q_rand_write",
         "_disk_total",
-        "_dma_residual",
-        "_nic_residual",
+        "_dev_residual",
         "_nic_total",
         "_io_total",
         "_chip_offset",
@@ -545,8 +758,7 @@ class FleetServer:
         "_wenergy",
         "_last_powers",
         "_proc_runtime",
-        "_proc_exec",
-        "_proc_fetch",
+        "_proc_uops",
         "_proc_bus",
         "_ran_ever",
         "_samp_wstart",
@@ -843,74 +1055,74 @@ class FleetServer:
         cycles_total = self._cycles_total
         now = self._now
         timer_res = self._timer_residual
-        pend_disk, pend_net = self._pend_disk, self._pend_net
+        pend_irq = self._pend_irq
         irq_cursor = self._irq_cursor
         acct_timer = self._acct[_VIDX[Vector.TIMER]]
-        acct_disk = self._acct[_VIDX[Vector.DISK]]
-        acct_net = self._acct[_VIDX[Vector.NETWORK]]
+        # The disk and network rows, adjacent like the device rows.
+        acct_dev = self._acct[_VIDX[Vector.DISK]:_VIDX[Vector.NETWORK] + 1]
         runtime, ou = self._runtime, self._ou
-        last_name_id, finished = self._last_name_id, self._finished
-        affinity, bound, ctx = self._affinity, self._bound, self._ctx
+        finished, ctx = self._finished, self._ctx
         enabled = self._enabled
         bus_latency, dram_latency = self._bus_latency, self._dram_latency
         pc_dirty, pc_pending = self._pc_dirty, self._pc_pending
         pc_synced = self._pc_synced
         q_seq_write = self._q_seq_write
         q_rand_read = self._q_rand_read
-        q_rand_write = self._q_rand_write
         disk_total_arr = self._disk_total
-        dma_residual, nic_residual = self._dma_residual, self._nic_residual
+        dev_residual = self._dev_residual
         nic_total, io_total = self._nic_total, self._io_total
         chip_offset = self._chip_offset
         c3 = self._counts3d
-        r_cycles = c3[_EIDX[Event.CYCLES]]
-        r_halted = c3[_EIDX[Event.HALTED_CYCLES]]
-        r_fetched = c3[_EIDX[Event.FETCHED_UOPS]]
-        r_l3 = c3[_EIDX[Event.L3_MISSES]]
-        r_tlb = c3[_EIDX[Event.TLB_MISSES]]
-        r_dma = c3[_EIDX[Event.DMA_ACCESSES]]
-        r_bus = c3[_EIDX[Event.BUS_TRANSACTIONS]]
-        r_unc = c3[_EIDX[Event.UNCACHEABLE_ACCESSES]]
-        r_irq = c3[_EIDX[Event.INTERRUPTS]]
-        r_disk_irq = c3[_EIDX[Event.DISK_INTERRUPTS]]
-        r_net_irq = c3[_EIDX[Event.NETWORK_INTERRUPTS]]
-        r_dram_reads0 = c3[_EIDX[Event.DRAM_READS], 0]
-        r_dram_writes0 = c3[_EIDX[Event.DRAM_WRITES], 0]
-        r_dram_act0 = c3[_EIDX[Event.DRAM_ACTIVATIONS], 0]
-        r_dram_time0 = c3[_EIDX[Event.DRAM_ACTIVE_TIME], 0]
-        r_prefetch0 = c3[_EIDX[Event.PREFETCH_TRANSACTIONS], 0]
-        r_writeback0 = c3[_EIDX[Event.WRITEBACK_TRANSACTIONS], 0]
-        r_io_bytes0 = c3[_EIDX[Event.IO_BYTES], 0]
-        r_io_tx0 = c3[_EIDX[Event.IO_TRANSACTIONS], 0]
-        r_seek0 = c3[_EIDX[Event.DISK_SEEK_TIME], 0]
-        r_xfer0 = c3[_EIDX[Event.DISK_TRANSFER_TIME], 0]
-        r_disk_bytes0 = c3[_EIDX[Event.DISK_BYTES], 0]
-        r_sectors0 = c3[_EIDX[Event.OS_DISK_SECTORS], 0]
-        r_ctx0 = c3[_EIDX[Event.OS_CONTEXT_SWITCHES], 0]
+        # One tick's counter increments, shaped like the bank and added
+        # to it at once (step 11).  System-wide events use package
+        # column 0; their other columns stay +0.0, which adds nothing
+        # to counts that are never -0.0.  The stages write most rows in
+        # place; the row views below name them.
+        inc = np.zeros_like(c3)
+        inc[_EIDX[Event.CYCLES]] = cycles
+        i_halted = inc[_EIDX[Event.HALTED_CYCLES]]
+        i_fetched = inc[_EIDX[Event.FETCHED_UOPS]]
+        i_l3 = inc[_EIDX[Event.L3_MISSES]]
+        i_tlb = inc[_EIDX[Event.TLB_MISSES]]
+        i_dma = inc[_EIDX[Event.DMA_ACCESSES]]
+        i_bus = inc[_EIDX[Event.BUS_TRANSACTIONS]]
+        i_unc = inc[_EIDX[Event.UNCACHEABLE_ACCESSES]]
+        i_irq = inc[_EIDX[Event.INTERRUPTS]]
+        # The disk and network rows, adjacent like the device rows.
+        i_dev_irq = inc[
+            _EIDX[Event.DISK_INTERRUPTS]:_EIDX[Event.NETWORK_INTERRUPTS] + 1
+        ]
+        i_dram_rw0 = inc[_EIDX[Event.DRAM_READS]:_EIDX[Event.DRAM_WRITES] + 1, 0]
+        i_dram_act0 = inc[_EIDX[Event.DRAM_ACTIVATIONS], 0]
+        i_dram_time0 = inc[_EIDX[Event.DRAM_ACTIVE_TIME], 0]
+        i_prefetch0 = inc[_EIDX[Event.PREFETCH_TRANSACTIONS], 0]
+        i_writeback0 = inc[_EIDX[Event.WRITEBACK_TRANSACTIONS], 0]
+        i_io_bytes0 = inc[_EIDX[Event.IO_BYTES], 0]
+        i_io_tx0 = inc[_EIDX[Event.IO_TRANSACTIONS], 0]
+        i_seek0 = inc[_EIDX[Event.DISK_SEEK_TIME], 0]
+        i_xfer0 = inc[_EIDX[Event.DISK_TRANSFER_TIME], 0]
+        i_disk_bytes0 = inc[_EIDX[Event.DISK_BYTES], 0]
+        i_sectors0 = inc[_EIDX[Event.OS_DISK_SECTORS], 0]
+        i_ctx0 = inc[_EIDX[Event.OS_CONTEXT_SWITCHES], 0]
         samp_gens, daq_gens = self._samp_gens, self._daq_gens
         samp_ts, samp_dur = self._samp_ts, self._samp_dur
         samp_counts = self._samp_counts
         daq_ts, daq_means = self._daq_ts, self._daq_means
-        gains, drift_phases = self._gains, self._drift_phases
-        drift_rel = self._drift_rel
+        gains = self._gains
         sample_period, sample_jitter = self._sample_period, self._sample_jitter
         daq_rate, daq_noise_rel = self._daq_rate, self._daq_noise_rel
-        two_pi = 2.0 * math.pi
         energy5, e_time = self._energy5, self._e_time
         wenergy, last_powers = self._wenergy, self._last_powers
-        proc_runtime, proc_exec = self._proc_runtime, self._proc_exec
-        proc_fetch, proc_bus = self._proc_fetch, self._proc_bus
-        ran_ever = self._ran_ever
+        proc_runtime = self._proc_runtime
+        proc_uops, proc_bus = self._proc_uops, self._proc_bus
         samp_wstart, samp_deadline = self._samp_wstart, self._samp_deadline
         daq_wstart = self._daq_wstart
-        plans = self._plans
         normal_stream = self._normal_stream
         # Draw mask: thread rows set per tick, the chipset row is the
         # batch's active mask.
         draw_mask = np.empty((n_thr + 1, width), dtype=bool)
         draw_mask[n_thr] = act
         draw_mask_flat = draw_mask.reshape(-1)
-        smt, smt_yield2 = self._smt, self._smt_yield * 2.0
         max_upc, isc = self._max_upc, self._isc
         variability = self._variability
         ou_alpha, ou_noise = self._ou_alpha, self._ou_noise
@@ -919,7 +1131,6 @@ class FleetServer:
         bus_cap_dt, bus_cf = self._bus_cap_dt, self._bus_congestion
         dram_cap_dt = self._dram_cap_dt
         row_rand, row_stream = self._row_rand, self._row_stream
-        dma_hit_base = self._dma_hit_base
         dram_re, dram_we = self._dram_read_e, self._dram_write_e
         dram_ae, dram_bg_dt = self._dram_act_e, self._dram_bg_dt
         dram_rtf, dram_cf = self._dram_rtf, self._dram_congestion
@@ -935,7 +1146,7 @@ class FleetServer:
         io_static, io_sw_e = self._io_static, self._io_sw_e
         io_tx_e = self._io_tx_e
         line_bytes, tx_factor = self._line_bytes, self._tx_factor
-        dma_bpi, nic_bpi = self._dma_bpi, self._nic_bpi
+        dev_bpi = np.array([[self._dma_bpi], [self._nic_bpi]])
         nic_line, bg_half = self._nic_line, self._bg_half
         disk_budget0 = self._disk_budget0
         seq_thr, seq_seekf = self._seq_thr, self._seq_seekf
@@ -948,34 +1159,46 @@ class FleetServer:
         per_tick = self._timer_per_tick
         timer_steady = float(int(per_tick)) == per_tick
         pkg_col = np.arange(n_pkg)[:, None]
-        lanes = np.arange(width)
-        mat_all, name_all = self._mat_all, self._name_all
-        sync_all, plan_offsets = self._sync_all, self._plan_offsets
         start_col, cycle_col = self._start_col, self._cycle_col
-        loop_col, nph_col = self._loop_col, self._nph_col
+        loop_col = self._loop_col
         has_nonloop = self._has_nonloop
+        # Clocks only advance, so once every lane is past every start
+        # time the start check can be dropped for the batch.
+        started = bool(self._now.min() >= start_col.max())
         monitors = self._monitors
         fleet_monitor = self._fleet_monitor
         batch_energy = np.zeros(width)
-        # Per-tick scratch, allocated once per batch.  The thread and
-        # package folds write their terms into a buffer whose leading
-        # axis is the one summed, and one np.add.reduce(axis=0) folds
-        # it.  numpy adds a leading axis's rows one at a time, in index
-        # order, into a zeroed result whenever the remaining axes hold
-        # more than one element; pairwise summation, which would
-        # reorder the adds, applies only when the summed axis is the
-        # innermost one left.  Every buffer below keeps 8 or 17 terms
-        # behind its leading axis, so this holds at any width
-        # (pinned by tests/test_fleet.py::TestFoldOrder).
-        idx2 = np.empty((n_thr, width), dtype=np.int64)
-        contrib = np.empty((n_thr, 17, width))
-        masked = np.empty((n_thr, 17, n_pkg, width))
+        # Per-tick scratch, allocated once per batch.  The thread fold
+        # (_ThreadTerms.fold) and the package folds write their terms
+        # into a buffer whose leading axis is the one summed, and one
+        # np.add.reduce(axis=0) folds it.  numpy adds a leading axis's
+        # rows one at a time, in index order, into a zeroed result
+        # whenever the remaining axes hold more than one element;
+        # pairwise summation, which would reorder the adds, applies
+        # only when the summed axis is the innermost one left.  Every
+        # buffer keeps 8 or 17 terms behind its leading axis, so this
+        # holds at any width (pinned by tests/test_fleet.py::
+        # TestFoldOrder).
+        terms = _ThreadTerms(self, cycles)
+        contrib, occm = terms.contrib[:n_thr], terms.occm
+        active_pkg = terms.active_pkg
+        g = terms.g
+        g_upc, g_sm, g_wf1 = g[:, _C_UPC], g[:, _C_SM], g[:, _C_WF1]
+        g_fp, g_l3, g_tlbk = g[:, _C_FP], g[:, _C_L3], g[:, _C_TLBK]
+        g_stream = g[:, _C_STREAM]
         acc = np.empty((17, n_pkg, width))
         sys_terms = np.empty((n_pkg, 8, width))
+        served2 = np.empty((2, width))
+        dev_bytes = np.empty((2, 2, width))
+        cursor2 = np.empty((2, width), dtype=np.int64)
+        streams2 = np.empty((2, width))
+        dram4 = np.empty((2, 2, width))
+        hit_base = np.empty((2, width))
+        hit_base[1] = self._dma_hit_base
         bus_terms = np.empty((n_pkg, 8, width))
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for _ in range(n_ticks):
+            for tick in range(n_ticks):
                 # (1) Clock; timer interrupts land now, device
                 # interrupts delivered last tick are serviced now.
                 now += dt
@@ -985,134 +1208,72 @@ class FleetServer:
                     timer_res += per_tick
                     timer_f = np.floor(timer_res)
                     timer_res -= timer_f
-                disk_irqs = pend_disk.copy()
-                net_irqs = pend_net.copy()
-                irq = (disk_irqs + net_irqs) + timer_f
+                np.copyto(i_dev_irq, pend_irq)
+                irq = np.add(i_dev_irq[0] + i_dev_irq[1], timer_f, out=i_irq)
                 acct_timer += timer_f
-                pend_disk[:] = 0.0
-                pend_net[:] = 0.0
+                pend_irq[:] = 0.0
 
                 # (2) Scheduler pass: phase lookup, OU modulation,
                 # first-run placement, per-package runnable counts.
-                # All-thread state lives in (n_thr, width) arrays; only
-                # the order-sensitive pieces — per-stream RNG draws,
-                # bounds lookups, and first-run placement — loop over
-                # threads (elementwise math is order-free, so batching
-                # it stays bit-identical to the per-thread version).
+                # All-thread state lives in (n_thr, width) arrays; the
+                # placement- and phase-derived terms are rebuilt only
+                # for the lanes where those changed (_ThreadTerms).
                 latency = bus_latency * dram_latency
                 lratio = np.maximum(latency / base_latency, 1.0)
                 ramp = np.minimum(1.0 + 2.6 * (lratio - 1.0), 5.0)
                 runm2 = enabled & act
-                runm2 &= now >= start_col
-                runm2 &= ~finished
+                if not started:
+                    runm2 &= now >= start_col
                 if has_nonloop:
+                    runm2 &= ~finished
                     newly = (~loop_col) & runm2 & (runtime >= cycle_col)
                     if newly.any():
                         finished |= newly
                         runm2 &= ~newly
-                position = np.where(
-                    loop_col, np.mod(runtime, cycle_col), runtime
-                )
-                for k in range(n_thr):
-                    idx2[k] = plans[k].bounds.searchsorted(
-                        position[k], side="right"
+                    position = np.where(
+                        loop_col, np.mod(runtime, cycle_col), runtime
                     )
-                np.minimum(idx2, nph_col - 1, out=idx2)
-                gidx = idx2 + plan_offsets
-                nid2 = name_all[gidx]
-                sync2 = runm2 & sync_all[gidx] & (nid2 != last_name_id)
-                np.copyto(last_name_id, nid2, where=runm2)
-                draw_mask[:n_thr] = runm2
-                draws = normal_stream.next(draw_mask_flat).reshape(
-                    n_thr + 1, width
-                )
+                else:
+                    position = np.mod(runtime, cycle_col)
+                if terms.refresh(runm2, position):
+                    draw_mask[:n_thr] = runm2
+                    normal_stream.set_mask(draw_mask_flat)
+                draws = normal_stream.next().reshape(n_thr + 1, width)
                 np.copyto(
                     ou, ou_alpha * ou + ou_noise * draws[:n_thr], where=runm2
                 )
                 mod2 = np.maximum(1.0 + variability * ou, 0.1)
-                runtime += np.where(runm2, dt, 0.0)
-                unplaced2 = runm2 & (affinity < 0)
-                if unplaced2.any():
-                    # First run of a thread: scalar placement order —
-                    # thread k sees the bounds updated by threads < k.
-                    for k in range(n_thr):
-                        unplaced = unplaced2[k]
-                        if not unplaced.any():
-                            continue
-                        aff = affinity[k]
-                        np.copyto(
-                            aff, np.argmin(bound, axis=0), where=unplaced
-                        )
-                        cols = np.nonzero(unplaced)[0]
-                        bound[aff[cols], cols] += 1
-                        ctx += unplaced
-                # onehot[k, p, lane]: thread k runs on package p.
-                onehot = (affinity[:, None, :] == pkg_col) & runm2[:, None, :]
-                cp = onehot.sum(axis=0, dtype=np.int64)
-                ctx += np.maximum(cp - smt, 0).sum(axis=0)
-                share = np.where(cp > smt, smt / cp, 1.0)
-                smt_scale = np.where(cp <= 1, 1.0, smt_yield2 / cp)
-                active_pkg = cp > 0
+                runtime += terms.rt_inc
+                ctx += terms.ctx_inc
 
                 # (3) CPU packages: per-thread execution and traffic
                 # computed for every (thread, lane) at once, then
                 # accumulated into per-package partials in thread order
-                # by one fold over the thread-leading masked array (row
+                # by one fold over the packages' thread slots (row
                 # layout mirrors the scalar accumulators).
-                aff_safe2 = np.maximum(affinity, 0)
-                share_g = share[aff_safe2, lanes]
-                smt_g = smt_scale[aff_safe2, lanes]
-                cp_g = cp[aff_safe2, lanes]
-                G = mat_all[gidx]
-                occ2 = G[..., _C_OCC0] * share_g
-                tgt = np.maximum(
-                    np.minimum(G[..., _C_UPC] * mod2, max_upc), 1.0e-6
-                )
+                tgt = np.maximum(np.minimum(g_upc * mod2, max_upc), 1.0e-6)
                 cpi = 1.0 / tgt
-                stall = G[..., _C_SM] * latency
+                stall = g_sm * latency
                 # Each per-thread quantity lands in its contrib row.
-                tc = cycles * occ2
-                texec2 = np.divide(smt_g * tc, cpi + stall, out=contrib[:, 0])
-                tfetch2 = np.multiply(
-                    texec2, G[..., _C_WF1], out=contrib[:, 1]
+                texec2 = np.divide(
+                    terms.smt_tc, cpi + stall, out=contrib[:, 0]
                 )
-                np.multiply(texec2, G[..., _C_FP], out=contrib[:, 2])
-                np.multiply(G[..., _C_SPEC] * tc, mod2, out=contrib[:, 3])
+                np.multiply(texec2, g_wf1, out=contrib[:, 1])
+                np.multiply(texec2, g_fp, out=contrib[:, 2])
+                np.multiply(terms.spec_tc, mod2, out=contrib[:, 3])
                 kuops = texec2 / 1000.0
-                lm = np.multiply(
-                    kuops * G[..., _C_L3], mod2, out=contrib[:, 4]
-                )
-                sharing = np.maximum(cp_g - 1, 0)
-                wb = np.multiply(
-                    lm,
-                    G[..., _C_WB] * (1.0 + G[..., _C_CPRESS] * sharing),
-                    out=contrib[:, 5],
-                )
-                tlbm = np.multiply(
-                    kuops * G[..., _C_TLBK], mod2, out=contrib[:, 9]
-                )
+                lm = np.multiply(kuops * g_l3, mod2, out=contrib[:, 4])
+                wb = np.multiply(lm, terms.wbf, out=contrib[:, 5])
+                tlbm = np.multiply(kuops * g_tlbk, mod2, out=contrib[:, 9])
                 pw = np.multiply(tlbm, pw_per_tlb, out=contrib[:, 6])
                 pf = np.multiply(
-                    (lm * ppm) * G[..., _C_STREAM], ramp, out=contrib[:, 7]
+                    (lm * ppm) * g_stream, ramp, out=contrib[:, 7]
                 )
-                ua = np.multiply(G[..., _C_UNC], occ2, out=contrib[:, 8])
                 tx2 = np.add(
-                    (((lm + wb) + pw) + ua), pf, out=contrib[:, 11]
+                    (((lm + wb) + pw) + contrib[:, 8]), pf, out=contrib[:, 11]
                 )
-                np.multiply(G[..., _C_STREAM], tx2, out=contrib[:, 10])
-                # File and network rates, _C_FR.._C_NTX, pass through.
-                contrib[:, 12:] = G[..., _C_FR:].transpose(0, 2, 1)
-                # Multiplying by the 0/1 mask adds exactly what
-                # np.where(onehot, contrib, 0.0) would: contrib is
-                # finite, so masked-out terms are +-0.0, and a fold that
-                # starts at +0.0 never holds -0.0, so they add nothing.
-                np.multiply(
-                    contrib[:, :, None, :], onehot[:, None], out=masked
-                )
-                np.add.reduce(masked, axis=0, out=acc)
-                # max() is order-free too.
-                occm = np.max(np.where(onehot, occ2[:, None, :], 0.0), axis=0)
-                psync = (onehot & sync2[:, None, :]).any(axis=0)
+                np.multiply(g_stream, tx2, out=contrib[:, 10])
+                terms.fold(acc)
                 (
                     p_exec, p_fetch, p_fp, p_spec, p_dlm, p_wb, p_pw, p_pf,
                     p_ua, p_tlb, p_streamw, p_weight, p_fr, p_fw, p_hw,
@@ -1157,11 +1318,11 @@ class FleetServer:
                 np.multiply(rhr, p_fr, out=sys_terms[:, 5])
                 sys_terms[:, 6] = p_nrx
                 sys_terms[:, 7] = p_ntx
+                sys_fold = np.add.reduce(sys_terms, axis=0)
                 (
                     demand, prefetch_sum, file_read, file_write, tlb_total,
-                    weighted_hit, net_rx, net_tx,
-                ) = np.add.reduce(sys_terms, axis=0)
-                sync_req = psync.any(axis=0)
+                    weighted_hit,
+                ) = sys_fold[:6]
 
                 # (4) Page cache: dirty accounting and writeback policy.
                 fault_read = (tlb_total * fault_ratio) * fault_bytes
@@ -1169,106 +1330,111 @@ class FleetServer:
                 hit_ratio = np.where(
                     total_read > 0, weighted_hit / total_read, 1.0
                 )
-                np.copyto(pc_pending, pc_dirty, where=sync_req)
+                if terms.sync_req is not None:
+                    np.copyto(pc_pending, pc_dirty, where=terms.sync_req)
                 pc_dirty += (file_write / dt) * dt
                 read_req = ((total_read / dt) * dt) * (1.0 - hit_ratio)
-                in_sync = pc_pending > 0.0
-                drained_s = np.minimum(
-                    np.minimum(pc_pending, pc_dirty), wc_dt
-                )
-                frac = pc_dirty / pc_bytes
-                in_bg = ~in_sync & (frac > bg_ratio)
-                urgency = np.minimum(1.0, (frac - bg_ratio) / pc_denom)
-                drained_b = np.minimum(
-                    pc_dirty, wc_dt * (0.15 + 0.85 * urgency)
-                )
-                write_bytes = np.where(
-                    in_sync, drained_s, np.where(in_bg, drained_b, 0.0)
-                )
-                pc_dirty -= write_bytes
-                np.copyto(pc_pending, pc_pending - drained_s, where=in_sync)
-                pc_synced += np.where(in_sync, drained_s, 0.0)
-                np.copyto(
-                    pc_pending, 0.0, where=in_sync & (pc_dirty <= 0.0)
-                )
-                np.maximum(pc_dirty, 0.0, out=pc_dirty)
                 q_rand_read += read_req
-                q_seq_write += write_bytes
+                in_sync = pc_pending > 0.0
+                frac = pc_dirty / pc_bytes
+                over_bg = frac > bg_ratio
+                # A lane neither syncing nor over the background ratio
+                # writes nothing back; when no lane does, the writeback
+                # would add +0.0 to state that is never -0.0 and is
+                # skipped.
+                if in_sync.any() or over_bg.any():
+                    drained_s = np.minimum(
+                        np.minimum(pc_pending, pc_dirty), wc_dt
+                    )
+                    in_bg = ~in_sync & over_bg
+                    urgency = np.minimum(1.0, (frac - bg_ratio) / pc_denom)
+                    drained_b = np.minimum(
+                        pc_dirty, wc_dt * (0.15 + 0.85 * urgency)
+                    )
+                    write_bytes = np.where(
+                        in_sync, drained_s, np.where(in_bg, drained_b, 0.0)
+                    )
+                    pc_dirty -= write_bytes
+                    np.copyto(
+                        pc_pending, pc_pending - drained_s, where=in_sync
+                    )
+                    pc_synced += np.where(in_sync, drained_s, 0.0)
+                    np.copyto(
+                        pc_pending, 0.0, where=in_sync & (pc_dirty <= 0.0)
+                    )
+                    np.maximum(pc_dirty, 0.0, out=pc_dirty)
+                    q_seq_write += write_bytes
 
                 # (5) Disk service: budget shared across queues in fixed
-                # order (sequential writes, random reads, random writes;
-                # the sequential-read queue is structurally empty).
-                svc = np.minimum(disk_budget0, q_seq_write / seq_thr)
-                served_sw = svc * seq_thr
+                # order (sequential writes, then random reads; the
+                # sequential-read and random-write queues are
+                # structurally empty).  As in the scalar disk, a queue
+                # holding no bytes is not served — nor one left a tiny
+                # negative remainder by an earlier service's rounding.
+                svc = np.where(
+                    q_seq_write > 0.0,
+                    np.minimum(disk_budget0, q_seq_write / seq_thr),
+                    0.0,
+                )
+                served_sw = np.multiply(svc, seq_thr, out=served2[1])
                 q_seq_write -= served_sw
                 budget = disk_budget0 - svc
-                seek_s = svc * seq_seekf
-                xfer_s = svc * (1.0 - seq_seekf)
-                svc = np.minimum(budget, q_rand_read / rand_thr)
-                served_rr = svc * rand_thr
-                q_rand_read -= served_rr
-                budget -= svc
-                seek_s += svc * rand_seekf
-                xfer_s += svc * (1.0 - rand_seekf)
-                svc = np.minimum(budget, q_rand_write / rand_thr)
-                served_rw = svc * rand_thr
-                q_rand_write -= served_rw
-                budget -= svc
-                seek_s += svc * rand_seekf
-                xfer_s += svc * (1.0 - rand_seekf)
-                disk_power = rot_n + (
-                    seek_w * (seek_s / dt) + xfer_w * (xfer_s / dt)
+                seek_s = np.multiply(svc, seq_seekf, out=i_seek0)
+                xfer_s = np.multiply(svc, 1.0 - seq_seekf, out=i_xfer0)
+                svc = np.where(
+                    q_rand_read > 0.0,
+                    np.minimum(budget, q_rand_read / rand_thr),
+                    0.0,
                 )
-                read_served = served_rr
-                write_served = served_sw + served_rw
-                served_bytes = read_served + write_served
+                served_rr = np.multiply(svc, rand_thr, out=served2[0])
+                q_rand_read -= served_rr
+                seek_s += svc * rand_seekf
+                xfer_s += svc * (1.0 - rand_seekf)
+                # Ground-truth powers land in their last_powers rows
+                # (cpu, chipset, memory, io, disk) as they are found.
+                disk_power = np.add(
+                    rot_n,
+                    seek_w * (seek_s / dt) + xfer_w * (xfer_s / dt),
+                    out=last_powers[4],
+                )
+                served_bytes = np.add(served_rr, served_sw, out=i_disk_bytes0)
                 disk_total_arr += served_bytes
 
-                # (6) DMA for the disk array and the NIC's own engine;
-                # coalesced completion interrupts round-robin across
+                # (6) DMA for the disk array and the NIC's own engine,
+                # stacked: device row 0 is the disk DMA, row 1 the NIC.
+                # Coalesced completion interrupts round-robin across
                 # packages through one shared cursor (disk, then NIC).
-                dma_in = read_served + bg_half
-                dma_out = write_served + bg_half
-                dma_io = dma_in + dma_out
-                dma_snoops = dma_io / line_bytes
-                dma_txn = (dma_io / 512.0) * tx_factor
-                dma_residual += dma_io / dma_bpi
-                dma_ints = np.floor(dma_residual)
-                dma_residual -= dma_ints
-                dma_unc = dma_ints * 3.0
-                dma_dram_r = dma_out / line_bytes
-                dma_dram_w = dma_in / line_bytes
-                rx = np.minimum(net_rx, nic_line) * dt
-                tx_b = np.minimum(net_tx, nic_line) * dt
-                nic_total += rx + tx_b
-                nic_io = rx + tx_b
-                nic_snoops = nic_io / line_bytes
-                nic_txn = (nic_io / 512.0) * tx_factor
-                nic_residual += nic_io / nic_bpi
-                nic_ints = np.floor(nic_residual)
-                nic_residual -= nic_ints
-                nic_unc = nic_ints * 3.0
-                nic_dram_r = tx_b / line_bytes
-                nic_dram_w = rx / line_bytes
-                ints = dma_ints.astype(np.int64)
-                kk = (pkg_col - irq_cursor[None, :]) % n_pkg
-                recv = (ints[None, :] - kk + (n_pkg - 1)) // n_pkg
-                pend_disk += recv
-                acct_disk += recv
-                irq_cursor += ints
-                irq_cursor %= n_pkg
-                ints = nic_ints.astype(np.int64)
-                kk = (pkg_col - irq_cursor[None, :]) % n_pkg
-                recv = (ints[None, :] - kk + (n_pkg - 1)) // n_pkg
-                pend_net += recv
-                acct_net += recv
-                irq_cursor += ints
+                # dev_bytes[0] moves into memory (DMA-in, NIC rx),
+                # dev_bytes[1] out of it (DMA-out, NIC tx).
+                np.add(served2, bg_half, out=dev_bytes[:, 0])
+                np.multiply(
+                    np.minimum(sys_fold[6:], nic_line), dt, out=dev_bytes[:, 1]
+                )
+                dev_io = dev_bytes[0] + dev_bytes[1]
+                nic_total += dev_io[1]
+                dev_snoops = dev_io / line_bytes
+                dev_txn = (dev_io / 512.0) * tx_factor
+                dev_residual += dev_io / dev_bpi
+                dev_ints = np.floor(dev_residual)
+                dev_residual -= dev_ints
+                dev_unc = dev_ints * 3.0
+                # [[DMA, NIC] DRAM writes, [DMA, NIC] DRAM reads].
+                dev_dram = dev_bytes / line_bytes
+                ints = dev_ints.astype(np.int64)
+                cursor2[0] = irq_cursor
+                np.add(irq_cursor, ints[0], out=cursor2[1])
+                cursor2[1] %= n_pkg
+                kk = (pkg_col - cursor2[:, None, :]) % n_pkg
+                recv = (ints[:, None, :] - kk + (n_pkg - 1)) // n_pkg
+                pend_irq += recv
+                acct_dev += recv
+                np.add(cursor2[1], ints[1], out=irq_cursor)
                 irq_cursor %= n_pkg
 
                 # (7) Bus arbitration; grant ratios scale CPU traffic.
                 # The fold over packages mirrors the scalar fused pass
                 # (step 6/7 in system.py), in package order.
-                total_snoops = dma_snoops + nic_snoops
+                total_snoops = dev_snoops[0] + dev_snoops[1]
                 demand += total_snoops
                 sat = demand >= bus_cap_dt
                 dr = np.where(sat, bus_cap_dt / demand, 1.0)
@@ -1286,9 +1452,9 @@ class FleetServer:
                 granted_total = demand * dr + prefetch_sum * pr
                 util = np.minimum(granted_total / bus_cap_dt, 1.0)
                 eff = np.minimum(util * bus_cf, 0.875)
-                bus_latency[:] = base_latency / (1.0 - eff)
+                np.divide(base_latency, 1.0 - eff, out=bus_latency)
                 granted_snoops = total_snoops * dr
-                g_dlm = p_dlm * dr
+                g_dlm = np.multiply(p_dlm, dr, out=i_l3)
                 g_wb = np.multiply(p_wb, dr, out=bus_terms[:, 1])
                 g_pw = p_pw * dr
                 g_ua = np.multiply(p_ua, dr, out=bus_terms[:, 4])
@@ -1298,42 +1464,46 @@ class FleetServer:
                 )
                 np.add(g_dlm + g_pw, g_pf, out=bus_terms[:, 0])
                 np.multiply(stream_p, own_tx, out=bus_terms[:, 3])
+                bus_fold = np.add.reduce(bus_terms, axis=0)
                 (
                     cpu_reads, cpu_writes, traffic_weight, stream_weighted,
                     uncacheable_cpu, prefetch_total, cpu_power, halted_total,
-                ) = np.add.reduce(bus_terms, axis=0)
+                ) = bus_fold
                 blended = np.where(
                     traffic_weight > 0, stream_weighted / traffic_weight, 0.5
                 )
-                n_run = cp.sum(axis=0)
-                dma_active = (dma_io > 0) | (nic_io > 0)
+                # Row 0 the CPU's access streams (one more while a
+                # device is moving data), row 1 the devices'.  The
+                # counts are small integers, exact in either type.
                 stream_count = np.maximum(
-                    n_run + np.where(dma_active, 1.0, 0.0), 1.0
+                    terms.n_run + (dev_io > 0).any(axis=0),
+                    1.0,
+                    out=streams2[0],
                 )
+                np.maximum(stream_count * 0.25, 1.0, out=streams2[1])
 
-                # (8) DRAM: granted CPU traffic plus device DMA.
-                drr = dma_dram_r + nic_dram_r
-                drw = dma_dram_w + nic_dram_w
+                # (8) DRAM: granted CPU traffic plus device DMA, stacked
+                # as [[CPU reads, CPU writes], [DMA reads, DMA writes]]
+                # and, for row hits, CPU then devices.
+                dram4[0] = bus_fold[:2]
+                np.add(dev_dram[::-1, 0], dev_dram[::-1, 1], out=dram4[1])
+                drr, drw = dram4[1]
                 total_acc = ((cpu_reads + cpu_writes) + drr) + drw
                 over = total_acc > dram_cap_dt
-                scale = dram_cap_dt / total_acc
-                cr = np.where(over, cpu_reads * scale, cpu_reads)
-                cw = np.where(over, cpu_writes * scale, cpu_writes)
-                drr = np.where(over, drr * scale, drr)
-                drw = np.where(over, drw * scale, drw)
+                scaled = np.where(over, dram4 * (dram_cap_dt / total_acc), dram4)
                 total_acc = np.where(over, dram_cap_dt, total_acc)
-                cpu_hit = (row_rand + (row_stream - row_rand) * blended) * (
-                    1.0 / (1.0 + 0.03 * np.maximum(0.0, stream_count - 1.0))
+                np.add(
+                    row_rand, (row_stream - row_rand) * blended, out=hit_base[0]
                 )
-                dma_streams = np.maximum(stream_count * 0.25, 1.0)
-                dma_hit = dma_hit_base * (
-                    1.0 / (1.0 + 0.03 * np.maximum(0.0, dma_streams - 1.0))
+                hits = (
+                    1.0 / (1.0 + 0.03 * np.maximum(0.0, streams2 - 1.0))
+                ) * hit_base
+                # [CPU, DMA] accesses times their row-miss rates.
+                misses = (scaled[:, 0] + scaled[:, 1]) * (1.0 - hits)
+                activations = np.add(misses[0], misses[1], out=i_dram_act0)
+                dram_reads, dram_writes = np.add(
+                    scaled[0], scaled[1], out=i_dram_rw0
                 )
-                activations = (cr + cw) * (1.0 - cpu_hit) + (drr + drw) * (
-                    1.0 - dma_hit
-                )
-                dram_reads = cr + drr
-                dram_writes = cw + drw
                 dram_energy = (
                     dram_reads * dram_re
                     + dram_writes * dram_we
@@ -1348,37 +1518,37 @@ class FleetServer:
                 )
                 util_d = total_acc / eff_cap
                 congestion = np.minimum(util_d * dram_cf, dram_cong_cap)
-                dram_latency[:] = 1.0 / (1.0 - congestion)
+                np.divide(1.0, 1.0 - congestion, out=dram_latency)
                 active_fraction = np.minimum(1.0, util_d)
-                memory_power = dram_energy / dt
+                memory_power = np.divide(dram_energy, dt, out=last_powers[2])
 
                 # (9) Chipset and I/O ground-truth power; energy books.
-                unc_total = (uncacheable_cpu + dma_unc) + nic_unc
+                unc_total = (uncacheable_cpu + dev_unc[0]) + dev_unc[1]
                 sa = 1.0 - halted_total / cycles_total
-                chip_offset[:] = (
-                    chip_mean + chip_alpha * (chip_offset - chip_mean)
-                ) + chip_noise * draws[n_thr]
+                np.add(
+                    chip_mean + chip_alpha * (chip_offset - chip_mean),
+                    chip_noise * draws[n_thr],
+                    out=chip_offset,
+                )
                 gate = (sa * sa) * (3.0 - 2.0 * sa)
                 dynamic_c = chip_bus_w * util + chip_io_w * np.minimum(
                     1.0, (unc_total / dt) / 2.0e5
                 )
-                chipset_power = (
-                    chip_nominal + dynamic_c * 0.35
-                ) + chip_offset * gate
-                io_bytes = dma_io + nic_io
-                io_txn = dma_txn + nic_txn
+                chipset_power = np.add(
+                    chip_nominal + dynamic_c * 0.35,
+                    chip_offset * gate,
+                    out=last_powers[1],
+                )
+                io_bytes = np.add(dev_io[0], dev_io[1], out=i_io_bytes0)
+                io_txn = np.add(dev_txn[0], dev_txn[1], out=i_io_tx0)
                 io_energy = (
                     io_bytes * io_sw_e
                     + io_txn * io_tx_e
                     + unc_total * 0.15e-6
                 )
-                io_power = io_static + io_energy / dt
+                io_power = np.add(io_static, io_energy / dt, out=last_powers[3])
                 io_total += io_bytes
                 last_powers[0] = cpu_power
-                last_powers[1] = chipset_power
-                last_powers[2] = memory_power
-                last_powers[3] = io_power
-                last_powers[4] = disk_power
                 energy5 += last_powers * dt
                 e_time += dt
                 batch_energy += (
@@ -1387,46 +1557,36 @@ class FleetServer:
                 ) * dt
 
                 # (10) Per-process accounting (needs the bus grant).
-                proc_runtime += np.where(runm2, dt * occ2, 0.0)
-                proc_exec += np.where(runm2, texec2, 0.0)
-                proc_fetch += np.where(runm2, tfetch2, 0.0)
+                proc_runtime += terms.prt_inc
+                proc_uops += np.where(runm2[:, None], contrib[:, :2], 0.0)
                 proc_bus += np.where(runm2, tx2 * dr, 0.0)
-                ran_ever |= runm2
 
-                # (11) Counters (the scalar fast path, rows as arrays).
-                driver_unc = (dma_unc + nic_unc) / n_pkg
+                # (11) Counters (the scalar fast path, rows as arrays):
+                # the increments not yet in place, then one add.
+                driver_unc = (dev_unc[0] + dev_unc[1]) / n_pkg
                 oc = (traffic_weight - own_tx) * _CROSS_COHERENCE_FRACTION
-                r_cycles += cycles
-                r_halted += halted
-                r_fetched += fetched
-                r_l3 += g_dlm
-                r_tlb += p_tlb
-                r_unc += g_ua + driver_unc
-                r_dma += granted_snoops + oc
-                r_bus += (own_tx + granted_snoops) + oc
-                r_irq += irq
-                r_disk_irq += disk_irqs
-                r_net_irq += net_irqs
-                r_dram_reads0 += dram_reads
-                r_dram_writes0 += dram_writes
-                r_dram_act0 += activations
-                r_dram_time0 += active_fraction * dt
-                r_prefetch0 += prefetch_total
-                r_writeback0 += cpu_writes
-                r_io_bytes0 += io_bytes
-                r_io_tx0 += io_txn
-                r_seek0 += seek_s
-                r_xfer0 += xfer_s
-                r_disk_bytes0 += served_bytes
-                r_sectors0 += served_bytes / 512.0
-                r_ctx0 += ctx
+                i_halted[:] = halted
+                i_fetched[:] = fetched
+                i_tlb[:] = p_tlb
+                np.add(g_ua, driver_unc, out=i_unc)
+                np.add(granted_snoops, oc, out=i_dma)
+                np.add(own_tx + granted_snoops, oc, out=i_bus)
+                np.multiply(active_fraction, dt, out=i_dram_time0)
+                i_prefetch0[:] = prefetch_total
+                i_writeback0[:] = cpu_writes
+                np.divide(served_bytes, 512.0, out=i_sectors0)
+                i_ctx0[:] = ctx
+                c3 += inc
 
                 # (12) Instrumentation: the DAQ integrates power every
                 # tick; a lane whose sampler deadline passed closes its
                 # window (counter snapshot + DAQ means + monitor pulse).
-                angle = (two_pi * now) / 900.0
-                drift = 1.0 + drift_rel * np.sin(angle + drift_phases)
-                wenergy += ((last_powers * gains) * drift) * dt
+                k = tick % _DRIFT_BLOCK
+                if k == 0:
+                    drift = self._drift_block(
+                        now, min(_DRIFT_BLOCK, n_ticks - tick)
+                    )
+                wenergy += ((last_powers * gains) * drift[k]) * dt
                 closing = act & (now + 1.0e-12 >= samp_deadline)
                 if closing.any():
                     closed = np.nonzero(closing)[0]
@@ -1483,6 +1643,21 @@ class FleetServer:
         if obs_on:
             self._record_telemetry(n_ticks, act, _monotonic() - t0)
         return np.where(act, batch_energy, 0.0)
+
+    def _drift_block(self, now: np.ndarray, n: int) -> np.ndarray:
+        """The DAQ gain drift of ``n`` ticks from ``now``, ``(n, 5, width)``.
+
+        Row ``j`` is the factor the tick ``j`` ticks on applies: the
+        clock's sequential ``now += dt`` is replayed by one
+        ``np.add.accumulate`` (also sequential), so each angle is the
+        one that tick computes.
+        """
+        steps = np.full((n, self.width), self._dt)
+        steps[0] = now
+        angle = (2.0 * math.pi * np.add.accumulate(steps, axis=0)) / 900.0
+        return 1.0 + self._drift_rel * np.sin(
+            angle[:, None, :] + self._drift_phases
+        )
 
     def _record_telemetry(
         self, n_ticks: int, act: np.ndarray, elapsed_s: float
@@ -1677,8 +1852,8 @@ class _LaneView:
                 stats[k] = ProcessStats(
                     thread_id=k,
                     runtime_s=float(fleet._proc_runtime[k, lane]),
-                    executed_uops=float(fleet._proc_exec[k, lane]),
-                    fetched_uops=float(fleet._proc_fetch[k, lane]),
+                    executed_uops=float(fleet._proc_uops[k, 0, lane]),
+                    fetched_uops=float(fleet._proc_uops[k, 1, lane]),
                     bus_transactions=float(fleet._proc_bus[k, lane]),
                 )
         return stats

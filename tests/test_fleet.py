@@ -20,8 +20,9 @@ from repro.cluster import Cluster, PowerAwareManager, StaticManager, diurnal_dem
 from repro.core.events import Subsystem
 from repro.exec import SweepSpec, sweep_specs
 from repro.simulator.config import fast_config
-from repro.simulator.fleet import FleetServer, simulate_fleet
+from repro.simulator.fleet import FleetServer, _ThreadTerms, simulate_fleet
 from repro.simulator.system import Server, simulate_workload
+from repro.workloads.base import Phase, PhaseBehavior, ThreadPlan, WorkloadSpec
 from repro.workloads.registry import get_workload
 from tests.conftest import TEST_SEED
 from tests.fleet_oracle import ScalarFleet
@@ -213,6 +214,166 @@ class TestFoldOrder:
             assert out.view(np.uint64).tolist() == expected
             folded = np.add.reduce(terms, axis=0)
             assert folded.view(np.uint64).tolist() == expected
+
+    @pytest.mark.parametrize("width", [1, 44, 1024])
+    @pytest.mark.parametrize("n_threads", [1, 6, 8, 16])
+    def test_slot_fold_is_the_thread_order_fold(self, n_threads, width):
+        """The kernel folds each package's occupied SMT slots, padded
+        with a zero row, instead of every thread: bit-equal to adding
+        the package's running threads in thread order into +0.0."""
+        rng = np.random.default_rng(31 * width + n_threads)
+        plan = ThreadPlan(phases=(Phase(1.0, PhaseBehavior()),))
+        workload = WorkloadSpec("fold", (plan,) * n_threads)
+        fleet = FleetServer(fast_config(), workload, list(range(width)))
+        n_pkg = fleet._n_pkg
+        terms = _ThreadTerms(fleet, fleet._cycles)
+        position = np.zeros((n_threads, width))
+        runm = rng.random((n_threads, width)) < 0.7
+        for _ in range(2):
+            # The first refresh places the running threads and builds
+            # every lane; the second rebuilds only the lanes whose
+            # mask changed.  (Empty packages divide by zero, as in
+            # the kernel, whose errstate this replicates.)
+            with np.errstate(divide="ignore"):
+                terms.refresh(runm, position)
+            affinity = fleet._affinity
+            for contrib in (
+                self._terms(rng, (n_threads, 17, width)),
+                np.full((n_threads, 17, width), -0.0),
+            ):
+                expected = np.zeros((17, n_pkg, width))
+                for k in range(n_threads):
+                    lanes = np.nonzero(runm[k])[0]
+                    expected[:, affinity[k, lanes], lanes] += contrib[k][:, lanes]
+                terms.contrib[:n_threads] = contrib
+                acc = np.empty((17, n_pkg, width))
+                terms.fold(acc)
+                assert (
+                    acc.view(np.uint64).tolist()
+                    == expected.view(np.uint64).tolist()
+                )
+            runm = runm.copy()
+            runm[:, rng.random(width) < 0.3] = rng.random(n_threads)[:, None] < 0.5
+
+
+def _short_phase_workload(loop: "bool | None") -> WorkloadSpec:
+    """Six threads whose sub-second phases and staggered starts make
+    runs, phase changes and file syncs land on many different ticks.
+
+    ``loop=None`` mixes looping (odd) and non-looping (even) threads.
+    """
+    busy = PhaseBehavior(
+        uops_per_cycle=1.6,
+        l3_load_misses_per_kuop=3.0,
+        cache_pressure=0.8,
+        disk_write_bps=4.0e6,
+        net_rx_bps=2.0e6,
+    )
+    syncing = PhaseBehavior(
+        uops_per_cycle=0.7,
+        disk_write_bps=8.0e6,
+        sync_file=True,
+        blocking_fraction=0.4,
+    )
+    waiting = PhaseBehavior(
+        uops_per_cycle=0.3, blocking_fraction=0.7, net_tx_bps=1.0e6
+    )
+    threads = tuple(
+        ThreadPlan(
+            phases=(
+                Phase(0.13 + 0.02 * k, busy, "busy"),
+                Phase(0.07, syncing, "sync"),
+                Phase(0.05 + 0.01 * k, waiting, "wait"),
+            ),
+            start_time_s=0.04 * k,
+            loop=bool(k % 2) if loop is None else loop,
+        )
+        for k in range(6)
+    )
+    return WorkloadSpec("short-phases", threads, variability=0.3)
+
+
+class TestThreadTermRebuilds:
+    """The kernel caches each lane's placement- and phase-derived
+    thread terms and rebuilds them only for lanes whose run mask or
+    phase changed; lanes that change on different ticks must still
+    match their scalar servers exactly."""
+
+    @pytest.mark.parametrize("loop", [False, None], ids=["nonloop", "mixed"])
+    def test_nonlooping_plans_finish_mid_batch(self, loop):
+        config = fast_config()
+        workload = _short_phase_workload(loop)
+        seeds = [SEED + i for i in range(3)]
+        fleet = FleetServer(config, workload, seeds)
+        oracle = ScalarFleet(config, workload, seeds)
+        for n_ticks in (20, 45, 15):
+            assert np.array_equal(
+                fleet.run_ticks(n_ticks), oracle.run_ticks(n_ticks)
+            )
+        nonloop = ~fleet._loop_col[:, 0]
+        # Every non-looping thread finished, the first ones well
+        # inside the 45-tick batch.
+        assert fleet._finished[nonloop].all()
+        assert not fleet._finished[~nonloop].any()
+        for lane in range(len(seeds)):
+            _assert_lane_matches_server(fleet.lane(lane), oracle.lane(lane))
+
+    def test_desynchronised_lanes_match_oracle(self):
+        """Frozen batches, per-lane thread counts and pstates leave the
+        lanes' clocks, runs and phases apart, so one long batch starts
+        threads and crosses phase bounds on different ticks per lane."""
+        config = fast_config()
+        workload = _short_phase_workload(True)
+        seeds = [SEED + i for i in range(4)]
+        fleet = FleetServer(config, workload, seeds)
+        oracle = ScalarFleet(config, workload, seeds)
+
+        def drive(f):
+            energies = [f.run_ticks(7, active=[True, False, True, True])]
+            f.set_lane_threads(2, 3)
+            f.set_lane_pstates([0, 2, 1, 3])
+            energies.append(f.run_ticks(11, active=[True, True, True, False]))
+            f.set_lane_threads(2, 6)
+            f.set_lane_threads(0, 4)
+            energies.append(f.run_ticks(150))
+            return energies
+
+        for got, want in zip(drive(fleet), drive(oracle)):
+            assert np.array_equal(got, want)
+        assert len({fleet.lane(i).now_s for i in range(len(seeds))}) == 3
+        assert fleet.now_s == oracle.now_s
+        for lane in range(len(seeds)):
+            _assert_lane_matches_server(fleet.lane(lane), oracle.lane(lane))
+
+    def test_mid_batch_enable_flip_is_honoured(self):
+        """A monitor that disables threads mid-batch acts from the next
+        tick on, exactly as if the batch had been split there."""
+        config = fast_config()
+        workload = _short_phase_workload(True)
+        seeds = [SEED + i for i in range(3)]
+
+        class _Flip:
+            tick = None
+
+            def on_window(self, view, now_s):
+                if self.tick is None:
+                    self.tick = round(now_s / config.tick_s)
+                    flipped.set_lane_threads(1, 2)
+
+        flipped = FleetServer(config, workload, seeds)
+        flip = _Flip()
+        flipped.attach_monitor(flip, lane=1)
+        flipped.run_ticks(250)
+        assert flip.tick is not None and 0 < flip.tick < 250
+
+        split = FleetServer(config, workload, seeds)
+        split.run_ticks(flip.tick)
+        split.set_lane_threads(1, 2)
+        split.run_ticks(250 - flip.tick)
+        for name in FleetServer._STATE_NAMES:
+            assert np.array_equal(getattr(flipped, name), getattr(split, name))
+        for lane in range(len(seeds)):
+            assert _scalar_rows(flipped.lane(lane)) == _scalar_rows(split.lane(lane))
 
 
 class _RecordingMonitor:
